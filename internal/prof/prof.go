@@ -142,6 +142,34 @@ func NewRankProfile(g *psg.Graph, rank, np int) *RankProfile {
 	}
 }
 
+// CheckRanks reports whether profiles form one complete run: one profile
+// per rank of the first profile's np, every profile at that np, and each
+// rank in range and present once. The PPG build and the profile upload
+// both require it.
+func CheckRanks(profiles []*RankProfile) error {
+	if len(profiles) == 0 {
+		return fmt.Errorf("no profiles")
+	}
+	np := profiles[0].NP
+	if len(profiles) != np {
+		return fmt.Errorf("got %d profiles for np=%d", len(profiles), np)
+	}
+	seen := make([]bool, np)
+	for _, rp := range profiles {
+		if rp.NP != np {
+			return fmt.Errorf("profile for rank %d has np=%d, want %d", rp.Rank, rp.NP, np)
+		}
+		if rp.Rank < 0 || rp.Rank >= np {
+			return fmt.Errorf("profile rank %d out of range", rp.Rank)
+		}
+		if seen[rp.Rank] {
+			return fmt.Errorf("duplicate profile for rank %d", rp.Rank)
+		}
+		seen[rp.Rank] = true
+	}
+	return nil
+}
+
 // Active reports whether a dense vertex slot carries attributed data (the
 // equivalent of key presence in the old map representation: a zero-valued
 // slot means the vertex was never sampled).

@@ -467,47 +467,52 @@ func (s *Server) handleUploadProfiles(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "read request: %v", err)
 		return
 	}
-	// Peek at the envelope to find the app before the full validating
+	// Read the envelope to find the app before the full validating
 	// decode (which needs the app's compiled graph).
-	var head struct {
-		App string `json:"app"`
-		NP  int    `json:"np"`
-	}
-	if err := json.Unmarshal(body, &head); err != nil {
-		writeErr(w, http.StatusBadRequest, "parse profile set: %v", err)
+	appName, np, err := prof.DecodeEnvelope(body)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !store.ValidName(head.App) {
-		writeErr(w, http.StatusBadRequest, "profile set names invalid app %q", head.App)
+	if !store.ValidName(appName) {
+		writeErr(w, http.StatusBadRequest, "profile set names invalid app %q", appName)
 		return
 	}
-	app := s.lookupApp(head.App)
+	app := s.lookupApp(appName)
 	if app == nil {
-		writeErr(w, http.StatusNotFound, "unknown app %q: upload its source to /v1/apps first", head.App)
+		writeErr(w, http.StatusNotFound, "unknown app %q: upload its source to /v1/apps first", appName)
 		return
 	}
-	if head.NP < 1 {
-		writeErr(w, http.StatusBadRequest, "profile set has invalid np %d", head.NP)
+	if np < 1 {
+		writeErr(w, http.StatusBadRequest, "profile set has invalid np %d", np)
 		return
 	}
 	_, graph, err := s.engine.Compile(app, psg.Options{})
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "compile %s: %v", head.App, err)
+		writeErr(w, http.StatusInternalServerError, "compile %s: %v", appName, err)
 		return
 	}
-	// Full validating decode against the app's symbol table: uploads that
-	// would fail at detect time fail here instead, and only bytes that
-	// decode cleanly are ever stored.
+	// Full validating decode against the app's symbol table, then the
+	// rank checks ppg.Build applies: uploads that would fail at detect
+	// time fail here instead, and only sets that build are ever stored.
 	ps, err := prof.DecodeProfileSet(body, graph)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid profile set for %s: %v", head.App, err)
+		writeErr(w, http.StatusBadRequest, "invalid profile set for %s: %v", appName, err)
 		return
 	}
-	if ps.NP != head.NP {
-		writeErr(w, http.StatusBadRequest, "profile set envelope np %d disagrees with decoded np %d", head.NP, ps.NP)
+	if ps.NP != np {
+		writeErr(w, http.StatusBadRequest, "profile set envelope np %d disagrees with decoded np %d", np, ps.NP)
 		return
 	}
-	key, err := s.st.Put(head.App, head.NP, body)
+	if err := prof.CheckRanks(ps.Profiles); err != nil {
+		writeErr(w, http.StatusBadRequest, "invalid profile set for %s: %v", appName, err)
+		return
+	}
+	if len(ps.Profiles) != np {
+		writeErr(w, http.StatusBadRequest, "profile set for np %d holds %d rank profiles", np, len(ps.Profiles))
+		return
+	}
+	key, err := s.st.Put(appName, np, body)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "store profile set: %v", err)
 		return

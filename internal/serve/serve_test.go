@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -482,5 +483,44 @@ func TestHealthAndStats(t *testing.T) {
 	}
 	if code, _ := get(t, ts.URL+"/v1/apps"); code != http.StatusOK {
 		t.Fatal("apps listing failed")
+	}
+}
+
+// TestUploadRejectsIncompleteRankSets covers sets that decode cleanly but
+// that ppg.Build would reject. Storing one used to break every later
+// detect and watch at its scale; now the upload answers 400, stores
+// nothing, and a good set at that scale still watches.
+func TestUploadRejectsIncompleteRankSets(t *testing.T) {
+	_, ts := newTestServer(t)
+	set := func(ranks ...string) []byte {
+		return []byte(`{"app":"cg","np":4,"elapsed":1,"profiles":[` + strings.Join(ranks, ",") + `]}`)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"empty set", set()},
+		{"wrong profile count", set(`{"rank":0,"np":4}`, `{"rank":1,"np":4}`, `{"rank":2,"np":4}`)},
+		{"duplicate rank", set(`{"rank":0,"np":4}`, `{"rank":1,"np":4}`, `{"rank":1,"np":4}`, `{"rank":3,"np":4}`)},
+		{"rank out of range", set(`{"rank":0,"np":4}`, `{"rank":1,"np":4}`, `{"rank":2,"np":4}`, `{"rank":4,"np":4}`)},
+		{"per-rank np mismatch", set(`{"rank":0,"np":4}`, `{"rank":1,"np":4}`, `{"rank":2,"np":8}`, `{"rank":3,"np":4}`)},
+		{"profiles for another np", set(`{"rank":0,"np":2}`, `{"rank":1,"np":2}`)},
+	} {
+		if code, body := post(t, ts.URL+"/v1/profiles", "application/json", c.body); code != http.StatusBadRequest {
+			t.Errorf("%s: got %d %s, want 400", c.name, code, body)
+		}
+	}
+	if code, body := get(t, ts.URL+"/v1/profiles"); code != http.StatusOK || !bytes.Contains(body, []byte(`"sets": null`)) {
+		t.Fatalf("store not empty after rejected uploads: %d %s", code, body)
+	}
+	good, err := os.ReadFile(filepath.Join("..", "..", "testdata", "cg.4.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, body := post(t, ts.URL+"/v1/profiles", "application/json", good); code != http.StatusCreated {
+		t.Fatalf("good upload: got %d %s", code, body)
+	}
+	if code, body := get(t, ts.URL+"/v1/watch?app=cg&np=4&min-runs=1"); code != http.StatusOK {
+		t.Fatalf("watch after rejected uploads: got %d %s", code, body)
 	}
 }
