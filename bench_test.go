@@ -117,7 +117,7 @@ func BenchmarkAblationCompression(b *testing.B) {
 func BenchmarkAblationMerge(b *testing.B) {
 	cfg := prof.DefaultConfig()
 	cfg.SampleHz = 2000
-	runs, err := scalana.Sweep(scalana.GetApp("zeusmp"), []int{8, 16, 32}, cfg)
+	runs, err := scalana.NewEngine().Sweep(scalana.GetApp("zeusmp"), []int{8, 16, 32}, scalana.SweepConfig{Prof: cfg})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 func BenchmarkAblationPruning(b *testing.B) {
 	cfg := prof.DefaultConfig()
 	cfg.SampleHz = 2000
-	runs, err := scalana.Sweep(scalana.GetApp("zeusmp"), []int{8, 16, 32}, cfg)
+	runs, err := scalana.NewEngine().Sweep(scalana.GetApp("zeusmp"), []int{8, 16, 32}, scalana.SweepConfig{Prof: cfg})
 	if err != nil {
 		b.Fatal(err)
 	}

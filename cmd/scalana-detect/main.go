@@ -66,7 +66,6 @@ func main() {
 	expectCause := flag.String("expect-cause", "", "exit non-zero unless a reported root cause matches this substring")
 	commCauses := flag.Bool("comm-causes", false, "admit non-scalable collectives as root-cause candidates (detect.Config.CommCauses)")
 	jsonOut := flag.String("json", "", "also write the report as JSON to this file ('-' for stdout)")
-	useInterp := flag.Bool("interp", false, "execute on the tree-walking interpreter instead of the bytecode VM")
 	watch := flag.Bool("watch", false, "streaming regression mode: score the newest stored run against the rolling baseline (requires -store)")
 	watchNP := flag.Int("np", 0, "scale to watch (0 = largest stored scale; -watch only)")
 	watchZ := flag.Float64("z", 3, "z-score flagging threshold (-watch only)")
@@ -156,10 +155,9 @@ func main() {
 		cfg := prof.DefaultConfig()
 		cfg.SampleHz = *hz
 		var err error
-		runs, err = scalana.SweepWithConfig(app, nps, scalana.SweepConfig{
+		runs, err = scalana.NewEngine().Sweep(app, nps, scalana.SweepConfig{
 			Parallelism: *parallel,
 			Prof:        cfg,
-			Interp:      *useInterp,
 		})
 		if err != nil {
 			fatalf("%v", err)

@@ -36,7 +36,6 @@ func main() {
 	compress := flag.Bool("compress", true, "graph-guided communication compression")
 	out := flag.String("o", "", "write the profile set to this JSON file (scalana tool only)")
 	seed := flag.Int64("seed", 0, "simulation seed")
-	useInterp := flag.Bool("interp", false, "execute on the tree-walking interpreter instead of the bytecode VM")
 	flag.Parse()
 
 	if *listTools {
@@ -60,8 +59,8 @@ func main() {
 	cfg.Compress = *compress
 	cfg.Seed = *seed
 
-	res, err := scalana.Run(scalana.RunConfig{
-		App: app, NP: *np, ToolName: *tool, Prof: cfg, Seed: *seed, Interp: *useInterp,
+	res, err := scalana.NewEngine().Run(scalana.RunConfig{
+		App: app, NP: *np, ToolName: *tool, Prof: cfg, Seed: *seed,
 	})
 	if err != nil {
 		fatalf("%v", err)

@@ -7,12 +7,11 @@
 //
 //	scalana-viewer -app zeusmp -scales 8,16,32,64
 //	scalana-viewer -app sst -scales 4,8,16,32 -context 3
-//	scalana-viewer -app cg -scales 4,8,16 -parallel 2 -interp
+//	scalana-viewer -app cg -scales 4,8,16 -parallel 2
 //
 // The sweep runs through the standard engine: the app compiles once for
-// every scale, the scales fan out across -parallel workers, and -interp
-// selects the tree-walking interpreter — the same knobs every other
-// command exposes.
+// every scale and the scales fan out across -parallel workers — the same
+// knobs every other command exposes.
 package main
 
 import (
@@ -34,7 +33,6 @@ func main() {
 	context := flag.Int("context", 2, "source lines of context around each root cause")
 	hz := flag.Float64("hz", 1000, "sampling frequency for profiling runs")
 	parallel := flag.Int("parallel", 0, "scales profiled concurrently (0 = one per CPU, 1 = one scale at a time)")
-	useInterp := flag.Bool("interp", false, "execute on the tree-walking interpreter instead of the bytecode VM")
 	flag.Parse()
 
 	app := scalana.GetApp(*appName)
@@ -55,10 +53,9 @@ func main() {
 	}
 	cfg := prof.DefaultConfig()
 	cfg.SampleHz = *hz
-	runs, err := scalana.SweepWithConfig(app, nps, scalana.SweepConfig{
+	runs, err := scalana.NewEngine().Sweep(app, nps, scalana.SweepConfig{
 		Parallelism: *parallel,
 		Prof:        cfg,
-		Interp:      *useInterp,
 	})
 	if err != nil {
 		fatalf("%v", err)

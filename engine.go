@@ -102,8 +102,9 @@ func (e *Engine) Compile(app *App, opts psg.Options) (*minilang.Program, *psg.Gr
 	return ent.prog, ent.graph, ent.err
 }
 
-// Run is the package-level Run with the compile phase served from the
-// engine's cache.
+// Run executes the app at one scale with the configured tool. The
+// compile phase is served from the engine's cache, so multi-run
+// workloads parse and contract each (app, PSG options) pair once.
 func (e *Engine) Run(cfg RunConfig) (*RunOutput, error) {
 	if err := validateRunConfig(cfg); err != nil {
 		return nil, err
@@ -112,7 +113,7 @@ func (e *Engine) Run(cfg RunConfig) (*RunOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunCompiled(prog, graph, cfg)
+	return runCompiled(prog, graph, cfg, vmBody)
 }
 
 // SweepConfig configures a multi-scale sweep.
@@ -135,9 +136,6 @@ type SweepConfig struct {
 	Seed int64
 	// PSGOptions overrides contraction settings (zero value = defaults).
 	PSGOptions psg.Options
-	// Interp runs every scale on the tree-walking interpreter instead of
-	// the bytecode VM (see RunConfig.Interp).
-	Interp bool
 }
 
 // Sweep profiles the app at every scale in nps using the engine's
@@ -158,7 +156,6 @@ func (e *Engine) Sweep(app *App, nps []int, cfg SweepConfig) ([]detect.ScaleRun,
 			Prof:       cfg.Prof,
 			Seed:       cfg.Seed,
 			PSGOptions: cfg.PSGOptions,
-			Interp:     cfg.Interp,
 		})
 		if err != nil {
 			return detect.ScaleRun{}, err

@@ -28,7 +28,7 @@ func main() {
 
 	cfg := prof.DefaultConfig()
 	cfg.SampleHz = 5000
-	runs, err := scalana.Sweep(app, []int{8}, cfg)
+	runs, err := scalana.NewEngine().Sweep(app, []int{8}, scalana.SweepConfig{Prof: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,8 @@ func main() {
 
 	cfg := prof.DefaultConfig()
 	cfg.SampleHz = 2000
-	runs, err := scalana.Sweep(app, []int{4, 8, 16, 32}, cfg)
+	e := scalana.NewEngine()
+	runs, err := e.Sweep(app, []int{4, 8, 16, 32}, scalana.SweepConfig{Prof: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func main() {
 
 	fmt.Println("\nPMU evidence in dgemm (np=32):")
 	dgemmStats := func(name string) (lst, cycCV float64) {
-		out, err := scalana.Run(scalana.RunConfig{
+		out, err := e.Run(scalana.RunConfig{
 			App: scalana.GetApp(name), NP: 32, Tool: scalana.ToolScalAna, Prof: cfg})
 		if err != nil {
 			log.Fatal(err)

@@ -33,7 +33,8 @@ func main() {
 	// counters per vertex and records communication dependence).
 	cfg := prof.DefaultConfig()
 	cfg.SampleHz = 2000
-	runs, err := scalana.Sweep(app, []int{4, 8, 16, 32}, cfg)
+	e := scalana.NewEngine()
+	runs, err := e.Sweep(app, []int{4, 8, 16, 32}, scalana.SweepConfig{Prof: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func main() {
 	// Bonus: any registered measurement tool attaches by name — here the
 	// comm-matrix collector, which registers itself on import and which
 	// the run API dispatches to without knowing it exists.
-	out, err := scalana.Run(scalana.RunConfig{App: app, NP: 16, ToolName: "commmatrix"})
+	out, err := e.Run(scalana.RunConfig{App: app, NP: 16, ToolName: "commmatrix"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,7 +28,8 @@ func main() {
 
 	cfg := prof.DefaultConfig()
 	cfg.SampleHz = 2000
-	runs, err := scalana.Sweep(app, []int{4, 8, 16, 32}, cfg)
+	e := scalana.NewEngine()
+	runs, err := e.Sweep(app, []int{4, 8, 16, 32}, scalana.SweepConfig{Prof: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func main() {
 	// PMU evidence: TOT_INS in handleEvent per rank, before and after.
 	fmt.Println("\nper-rank TOT_INS in handleEvent (np=32):")
 	for _, name := range []string{"sst", "sst-opt"} {
-		out, err := scalana.Run(scalana.RunConfig{
+		out, err := e.Run(scalana.RunConfig{
 			App: scalana.GetApp(name), NP: 32, Tool: scalana.ToolScalAna, Prof: cfg})
 		if err != nil {
 			log.Fatal(err)

@@ -26,7 +26,8 @@ func main() {
 
 	cfg := prof.DefaultConfig()
 	cfg.SampleHz = 2000
-	runs, err := scalana.Sweep(app, []int{8, 16, 32, 64}, cfg)
+	e := scalana.NewEngine()
+	runs, err := e.Sweep(app, []int{8, 16, 32, 64}, scalana.SweepConfig{Prof: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,11 +38,11 @@ func main() {
 	fmt.Print(rep.Render(prog))
 
 	// Verify the fix at np=64.
-	orig, err := scalana.Run(scalana.RunConfig{App: app, NP: 64})
+	orig, err := e.Run(scalana.RunConfig{App: app, NP: 64})
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt, err := scalana.Run(scalana.RunConfig{App: scalana.GetApp("zeusmp-opt"), NP: 64})
+	opt, err := e.Run(scalana.RunConfig{App: scalana.GetApp("zeusmp-opt"), NP: 64})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func main() {
 
 func runMatrix(t *testing.T, app *scalana.App, np int) (*scalana.RunOutput, *commmatrix.Matrix) {
 	t.Helper()
-	out, err := scalana.Run(scalana.RunConfig{App: app, NP: np, ToolName: "commmatrix"})
+	out, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: np, ToolName: "commmatrix"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +170,11 @@ func TestCommMatrixDeterministic(t *testing.T) {
 // show up as measurement perturbation.
 func TestToolOptionsReachTheCollector(t *testing.T) {
 	app := scalana.GetApp("cg")
-	cheap, err := scalana.Run(scalana.RunConfig{App: app, NP: 4, ToolName: "commmatrix"})
+	cheap, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: 4, ToolName: "commmatrix"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dear, err := scalana.Run(scalana.RunConfig{App: app, NP: 4, ToolName: "commmatrix",
+	dear, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: 4, ToolName: "commmatrix",
 		ToolOptions: commmatrix.Config{RecordCost: 1e-3}})
 	if err != nil {
 		t.Fatal(err)
@@ -189,15 +189,15 @@ func TestToolOptionsReachTheCollector(t *testing.T) {
 // than tracing cost on the same run.
 func TestOverheadBelowTracer(t *testing.T) {
 	app := scalana.GetApp("cg")
-	base, err := scalana.Run(scalana.RunConfig{App: app, NP: 16})
+	base, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := scalana.Run(scalana.RunConfig{App: app, NP: 16, ToolName: "commmatrix"})
+	cm, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: 16, ToolName: "commmatrix"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := scalana.Run(scalana.RunConfig{App: app, NP: 16, ToolName: "tracer"})
+	tr, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: 16, ToolName: "tracer"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,12 @@ import (
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
+	"scalana/internal/vm"
 )
 
 // IndirectObserver is notified when an indirect call resolves its target
-// at run time (paper §III-B3). The ScalAna profiler records these to
-// refine the PSG.
-type IndirectObserver func(rank int, inst *psg.Instance, site minilang.NodeID, target string)
+// at run time (see vm.IndirectObserver).
+type IndirectObserver = vm.IndirectObserver
 
 // Runner executes one MiniMP program against a PSG.
 type Runner struct {

@@ -1,39 +1,24 @@
-// Package interp executes MiniMP programs on the mpisim runtime. It plays
-// the role of the compiled application binary in the paper's pipeline: as
-// it runs, it keeps the current PSG instance and vertex up to date on the
-// simulated process (Proc.Ctx), so tool hooks — the ScalAna sampler, the
-// PMPI layer, the tracer — can attribute time, PMU counters, and
-// communication dependence to graph vertices exactly the way call-stack
-// unwinding attributes samples on real hardware.
+// Package interp is the tree-walking reference implementation of MiniMP
+// on the mpisim runtime. Only tests import it: the bytecode VM
+// (internal/vm) is the one execution engine, and interp is the semantic
+// oracle the differential tests hold it to. Like the VM, it keeps the
+// current PSG instance and vertex up to date on the simulated process
+// (Proc.Ctx) as it runs, so tool hooks — the ScalAna sampler, the PMPI
+// layer, the tracer — attribute time, PMU counters, and communication
+// dependence to graph vertices exactly the way call-stack unwinding
+// attributes samples on real hardware.
 package interp
 
 import (
 	"fmt"
 
 	"scalana/internal/minilang"
+	"scalana/internal/vm"
 )
 
-// Value is a MiniMP runtime value: a number, a function reference, or an
-// array. The zero Value is the number 0.
-type Value struct {
-	Num float64
-	Fn  string    // non-empty: function reference created by &name
-	Arr []float64 // non-nil: array created by alloc(n)
-}
-
-// IsNum reports whether v is a plain number.
-func (v Value) IsNum() bool { return v.Fn == "" && v.Arr == nil }
-
-func (v Value) String() string {
-	switch {
-	case v.Fn != "":
-		return "&" + v.Fn
-	case v.Arr != nil:
-		return fmt.Sprintf("array[%d]", len(v.Arr))
-	default:
-		return fmt.Sprintf("%g", v.Num)
-	}
-}
+// Value is the MiniMP runtime value, owned by the bytecode VM so both
+// execution paths share one representation.
+type Value = vm.Value
 
 // num extracts a number, panicking with position context otherwise.
 func num(v Value, pos minilang.Pos, what string) float64 {

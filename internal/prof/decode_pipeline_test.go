@@ -41,7 +41,7 @@ var profiledSets = sync.OnceValues(func() (map[int][]byte, error) {
 	pcfg.SampleHz = 1000
 	sets := map[int][]byte{}
 	for _, np := range []int{64, 256} {
-		out, err := scalana.Run(scalana.RunConfig{App: app, NP: np, ToolName: "scalana", Prof: pcfg})
+		out, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: np, ToolName: "scalana", Prof: pcfg})
 		if err != nil {
 			return nil, err
 		}

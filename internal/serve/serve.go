@@ -609,10 +609,9 @@ type detectRequest struct {
 	// Simulate sweeps the app on the simulator instead of reading the
 	// store.
 	Simulate bool `json:"simulate,omitempty"`
-	// SampleHz, Seed, and Interp configure simulate-mode runs.
+	// SampleHz and Seed configure simulate-mode runs.
 	SampleHz float64 `json:"hz,omitempty"`
 	Seed     int64   `json:"seed,omitempty"`
-	Interp   bool    `json:"interp,omitempty"`
 	// Config tunes detection (zero fields = paper defaults).
 	Config detectConfigJSON `json:"config,omitempty"`
 }
@@ -680,8 +679,8 @@ func (s *Server) planDetect(app *scalana.App, req *detectRequest, dcfg detect.Co
 		if hz <= 0 {
 			hz = s.sampleHz
 		}
-		key := fmt.Sprintf("detect|%s|sim|%v|hz=%g|seed=%d|interp=%t|%s",
-			app.Name, req.Scales, hz, req.Seed, req.Interp, configKey(dcfg))
+		key := fmt.Sprintf("detect|%s|sim|%v|hz=%g|seed=%d|%s",
+			app.Name, req.Scales, hz, req.Seed, configKey(dcfg))
 		nps := append([]int(nil), req.Scales...)
 		return key, func() ([]byte, error) {
 			release := s.acquire()
@@ -692,7 +691,6 @@ func (s *Server) planDetect(app *scalana.App, req *detectRequest, dcfg detect.Co
 				Parallelism: s.parallel,
 				Prof:        pcfg,
 				Seed:        req.Seed,
-				Interp:      req.Interp,
 			})
 			if err != nil {
 				return nil, err

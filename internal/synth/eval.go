@@ -37,9 +37,6 @@ type EvalConfig struct {
 	TopK int
 	// Engine optionally supplies a shared compile cache.
 	Engine *scalana.Engine
-	// Interp evaluates on the tree-walking interpreter instead of the
-	// bytecode VM (see scalana.RunConfig.Interp).
-	Interp bool
 }
 
 // CausePred is one reported root cause, normalized for matching.
@@ -178,7 +175,6 @@ func Evaluate(corpus *Corpus, cfg EvalConfig) (*EvalResult, error) {
 			Parallelism: 1,
 			Prof:        profCfg,
 			Seed:        cfg.Seed,
-			Interp:      cfg.Interp,
 		})
 		if err != nil {
 			return CaseResult{}, fmt.Errorf("synth: sweep %s: %w", c.Name, err)

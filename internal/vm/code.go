@@ -1,14 +1,8 @@
 package vm
 
 import (
-	"scalana/internal/interp"
 	"scalana/internal/minilang"
 )
-
-// Value is the MiniMP runtime value, shared with the tree-walking
-// interpreter so both execution paths agree on representation, printing,
-// and error formatting down to the byte.
-type Value = interp.Value
 
 // op is a bytecode opcode. The set is deliberately close to the
 // interpreter's evaluation steps: every point where the tree-walker

@@ -5,14 +5,14 @@ import (
 	"io"
 	"math"
 
-	"scalana/internal/interp"
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 )
 
 // Runner executes a compiled Program on simulated ranks. It is the
-// bytecode counterpart of interp.Runner and keeps the same knobs so the
-// two are drop-in interchangeable behind scalana.RunCompiled.
+// bytecode counterpart of the reference interpreter's interp.Runner and
+// keeps the same knobs, so the differential tests can swap one for the
+// other.
 type Runner struct {
 	Prog *Program
 	// GlueIns is the abstract instruction count charged per statement,
@@ -21,7 +21,7 @@ type Runner struct {
 	// Stdout receives print() output; nil discards it.
 	Stdout io.Writer
 	// OnIndirect observes runtime indirect-call resolution.
-	OnIndirect interp.IndirectObserver
+	OnIndirect IndirectObserver
 }
 
 // NewRunner builds a Runner with the interpreter's defaults.

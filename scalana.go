@@ -5,16 +5,18 @@
 // The pipeline mirrors the paper's four user steps (§V):
 //
 //	prog, graph, _ := scalana.Compile(app)            // scalana-static
-//	out, _ := scalana.Run(scalana.RunConfig{...})     // scalana-prof
-//	runs, _ := scalana.Sweep(app, []int{4,...,128})   // one run per scale
+//	e := scalana.NewEngine()
+//	out, _ := e.Run(scalana.RunConfig{...})           // scalana-prof
+//	runs, _ := e.Sweep(app, []int{4,...,128}, scfg)   // one run per scale
 //	report, _ := scalana.DetectScalingLoss(runs, cfg) // scalana-detect
 //
 // Compile builds the Program Structure Graph from MiniMP source with
-// intra-/inter-procedural analysis and contraction. Run executes the
-// program on the deterministic MPI simulator with the selected measurement
-// tool attached (the ScalAna profiler, or the tracing/profiling baselines
-// used for comparison). DetectScalingLoss assembles Program Performance
-// Graphs, finds non-scalable and abnormal vertices, and runs backtracking
+// intra-/inter-procedural analysis and contraction. An Engine caches
+// those compilations and executes the program as bytecode on the
+// deterministic MPI simulator with the selected measurement tool attached
+// (the ScalAna profiler, or the tracing/profiling baselines used for
+// comparison). DetectScalingLoss assembles Program Performance Graphs,
+// finds non-scalable and abnormal vertices, and runs backtracking
 // root-cause detection.
 package scalana
 
@@ -25,7 +27,6 @@ import (
 	"scalana/internal/apps"
 	"scalana/internal/detect"
 	"scalana/internal/hpctk"
-	"scalana/internal/interp"
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/par"
@@ -141,11 +142,6 @@ type RunConfig struct {
 	Stdout io.Writer
 	// PSGOptions overrides contraction settings (zero value = defaults).
 	PSGOptions psg.Options
-	// Interp executes on the tree-walking interpreter instead of the
-	// bytecode VM. The two are behaviorally identical (the differential
-	// harness in internal/vm/difftest holds them to byte-identical
-	// reports); the interpreter survives as the oracle and escape hatch.
-	Interp bool
 }
 
 // resolveTool maps the config's tool selection to a registered name:
@@ -199,8 +195,8 @@ func (o *RunOutput) PPG() *ppg.Graph { return o.Measurement.PPG() }
 // runs). Compatibility accessor for Measurement.StorageBytes.
 func (o *RunOutput) StorageBytes() int64 { return o.Measurement.StorageBytes() }
 
-// validateRunConfig checks the parts of a RunConfig that both Run and
-// RunCompiled depend on.
+// validateRunConfig checks a RunConfig before anything is compiled or
+// simulated.
 func validateRunConfig(cfg RunConfig) error {
 	if cfg.App == nil {
 		return fmt.Errorf("scalana: RunConfig.App is nil")
@@ -208,44 +204,31 @@ func validateRunConfig(cfg RunConfig) error {
 	if cfg.NP < cfg.App.MinNP {
 		return fmt.Errorf("scalana: %s requires at least %d ranks, got %d", cfg.App.Name, cfg.App.MinNP, cfg.NP)
 	}
+	if cfg.NP < 1 {
+		return fmt.Errorf("scalana: %s needs at least 1 rank, got %d", cfg.App.Name, cfg.NP)
+	}
 	return nil
 }
 
-// Run executes the app at one scale with the configured tool. It is the
-// compile phase (CompileOptions) followed by the execute phase
-// (RunCompiled); multi-run workloads should compile once — through an
-// Engine, whose cache keys on (app, PSG options) — and call RunCompiled
-// per execution.
-func Run(cfg RunConfig) (*RunOutput, error) {
-	if err := validateRunConfig(cfg); err != nil {
-		return nil, err
-	}
-	prog, graph, err := CompileOptions(cfg.App, cfg.PSGOptions.Normalize())
-	if err != nil {
-		return nil, err
-	}
-	return RunCompiled(prog, graph, cfg)
-}
+// bodyBuilder turns a compiled program into the per-rank body the
+// simulator runs, with print() output going to cfg.Stdout and runtime
+// indirect-call resolution reported to observe.
+type bodyBuilder func(prog *minilang.Program, graph *psg.Graph, cfg RunConfig, observe vm.IndirectObserver) (func(*mpisim.Proc), error)
 
-// RunCompiled is the execute phase of Run: it runs an already-compiled
-// program on the simulator with the configured tool attached. The graph
-// may be shared between concurrent RunCompiled calls: a compiled graph
-// is immutable during execution — every indirect-call target a program
-// can produce is pre-materialized at compile time (psg.Build), so runs
-// only read it, and sharing one graph across a sweep changes neither
-// profiles nor detection output.
+// runCompiled is the execute phase of Engine.Run: it runs an
+// already-compiled, validated program on the simulator with the
+// configured tool attached, each rank executing the body exec builds.
+// The graph may be shared between concurrent runs: a compiled graph is
+// immutable during execution — every indirect-call target a program can
+// produce is pre-materialized at compile time (psg.Build), so runs only
+// read it, and sharing one graph across a sweep changes neither profiles
+// nor detection output.
 //
-// The tool is resolved through the registry (RegisterTool); RunCompiled
+// The tool is resolved through the registry (RegisterTool); runCompiled
 // itself knows nothing about individual tools — it drives the generic
 // ToolRun lifecycle (HooksForRank before execution, concurrent
 // FinalizeRank after, one Finish at the end).
-func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunOutput, error) {
-	if err := validateRunConfig(cfg); err != nil {
-		return nil, err
-	}
-	if prog == nil || graph == nil {
-		return nil, fmt.Errorf("scalana: RunCompiled needs a compiled program and graph")
-	}
+func runCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig, exec bodyBuilder) (*RunOutput, error) {
 	name, err := cfg.resolveTool()
 	if err != nil {
 		return nil, err
@@ -273,11 +256,11 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 		wcfg.HookFactory = trun.HooksForRank
 	}
 
-	var observe interp.IndirectObserver
+	var observe vm.IndirectObserver
 	if obs, ok := trun.(IndirectObserver); ok {
 		observe = obs.ObserveIndirect
 	}
-	body, err := executionBody(prog, graph, cfg, observe)
+	body, err := exec(prog, graph, cfg, observe)
 	if err != nil {
 		return nil, err
 	}
@@ -311,18 +294,11 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 	return out, nil
 }
 
-// executionBody selects the execution path for one run: the bytecode VM
-// by default, the tree-walking interpreter when cfg.Interp is set. The
-// VM's compiled program is cached on the graph (psg.Graph.CompileExec),
-// so the sweep-wide sharing the Engine arranges for graphs extends to
-// bytecode: compile once, execute at every scale.
-func executionBody(prog *minilang.Program, graph *psg.Graph, cfg RunConfig, observe interp.IndirectObserver) (func(*mpisim.Proc), error) {
-	if cfg.Interp {
-		runner := interp.NewRunner(prog, graph)
-		runner.Stdout = cfg.Stdout
-		runner.OnIndirect = observe
-		return runner.Execute, nil
-	}
+// vmBody is the bodyBuilder of every run: the bytecode VM. The compiled
+// program is cached on the graph (psg.Graph.CompileExec), so the
+// sweep-wide sharing the Engine arranges for graphs extends to bytecode:
+// compile once, execute at every scale.
+func vmBody(prog *minilang.Program, graph *psg.Graph, cfg RunConfig, observe vm.IndirectObserver) (func(*mpisim.Proc), error) {
 	cached, err := graph.CompileExec(func() (any, error) {
 		return vm.Compile(prog, graph)
 	})
@@ -333,22 +309,6 @@ func executionBody(prog *minilang.Program, graph *psg.Graph, cfg RunConfig, obse
 	runner.Stdout = cfg.Stdout
 	runner.OnIndirect = observe
 	return runner.Execute, nil
-}
-
-// Sweep profiles the app with ScalAna at each scale in nps and returns the
-// per-scale runs ready for DetectScalingLoss. profCfg zero value uses
-// paper defaults. The app is compiled once for the whole sweep and the
-// scales execute on a CPU-bounded worker pool; use SweepWithConfig (or
-// an Engine) to control parallelism, seeding, and PSG options.
-func Sweep(app *App, nps []int, profCfg prof.Config) ([]detect.ScaleRun, error) {
-	return SweepWithConfig(app, nps, SweepConfig{Prof: profCfg})
-}
-
-// SweepWithConfig is Sweep with explicit sweep configuration. Each call
-// uses a fresh Engine; reuse one Engine directly to share its compile
-// cache across sweeps.
-func SweepWithConfig(app *App, nps []int, cfg SweepConfig) ([]detect.ScaleRun, error) {
-	return NewEngine().Sweep(app, nps, cfg)
 }
 
 // DetectScalingLoss runs problematic-vertex detection and backtracking

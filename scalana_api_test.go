@@ -9,10 +9,10 @@ import (
 )
 
 func TestRunConfigValidation(t *testing.T) {
-	if _, err := Run(RunConfig{}); err == nil {
+	if _, err := NewEngine().Run(RunConfig{}); err == nil {
 		t.Error("nil app should error")
 	}
-	if _, err := Run(RunConfig{App: GetApp("zeusmp"), NP: 2}); err == nil {
+	if _, err := NewEngine().Run(RunConfig{App: GetApp("zeusmp"), NP: 2}); err == nil {
 		t.Error("np below MinNP should error")
 	}
 }
@@ -72,7 +72,7 @@ func TestRunProducesToolOutputs(t *testing.T) {
 		{ToolTracer, func(o *RunOutput) bool { return len(o.Traces()) == 8 && o.StorageBytes() > 0 }},
 		{ToolCallPath, func(o *RunOutput) bool { return len(o.CtxProfiles()) == 8 && o.StorageBytes() > 0 }},
 	} {
-		out, err := Run(RunConfig{App: app, NP: 8, Tool: tc.tool})
+		out, err := NewEngine().Run(RunConfig{App: app, NP: 8, Tool: tc.tool})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.tool, err)
 		}
@@ -84,11 +84,11 @@ func TestRunProducesToolOutputs(t *testing.T) {
 
 func TestRunsAreReproducibleWithSeed(t *testing.T) {
 	app := GetApp("mg")
-	a, err := Run(RunConfig{App: app, NP: 8, Tool: ToolScalAna, Seed: 42})
+	a, err := NewEngine().Run(RunConfig{App: app, NP: 8, Tool: ToolScalAna, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(RunConfig{App: app, NP: 8, Tool: ToolScalAna, Seed: 42})
+	b, err := NewEngine().Run(RunConfig{App: app, NP: 8, Tool: ToolScalAna, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRunsAreReproducibleWithSeed(t *testing.T) {
 
 // TestSweepAndDetectSmoke covers the facade path end to end on a tiny app.
 func TestSweepAndDetectSmoke(t *testing.T) {
-	runs, err := Sweep(GetApp("is"), []int{4, 8}, sweepCfg())
+	runs, err := NewEngine().Sweep(GetApp("is"), []int{4, 8}, SweepConfig{Prof: sweepCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func main() {
 	mpi_barrier();
 }`,
 	}
-	out, err := Run(RunConfig{App: app, NP: 4, Tool: ToolScalAna})
+	out, err := NewEngine().Run(RunConfig{App: app, NP: 4, Tool: ToolScalAna})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func runCaseStudy(t *testing.T, app string, nps []int) *detect.Report {
 	if a == nil {
 		t.Fatalf("app %q not registered", app)
 	}
-	runs, err := Sweep(a, nps, sweepCfg())
+	runs, err := NewEngine().Sweep(a, nps, SweepConfig{Prof: sweepCfg()})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -125,11 +125,11 @@ func TestNekboneRootCause(t *testing.T) {
 // simulation: each -opt variant outruns its original at the same scale.
 func TestOptimizedVariantsFaster(t *testing.T) {
 	for _, pair := range [][2]string{{"zeusmp", "zeusmp-opt"}, {"sst", "sst-opt"}, {"nekbone", "nekbone-opt"}} {
-		orig, err := Run(RunConfig{App: GetApp(pair[0]), NP: 16})
+		orig, err := NewEngine().Run(RunConfig{App: GetApp(pair[0]), NP: 16})
 		if err != nil {
 			t.Fatalf("%s: %v", pair[0], err)
 		}
-		opt, err := Run(RunConfig{App: GetApp(pair[1]), NP: 16})
+		opt, err := NewEngine().Run(RunConfig{App: GetApp(pair[1]), NP: 16})
 		if err != nil {
 			t.Fatalf("%s: %v", pair[1], err)
 		}
@@ -172,19 +172,19 @@ func TestInjectedDelayFound(t *testing.T) {
 // ScalAna's storage is far below both.
 func TestToolOverheadOrdering(t *testing.T) {
 	app := GetApp("cg")
-	base, err := Run(RunConfig{App: app, NP: 16})
+	base, err := NewEngine().Run(RunConfig{App: app, NP: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scal, err := Run(RunConfig{App: app, NP: 16, Tool: ToolScalAna})
+	scal, err := NewEngine().Run(RunConfig{App: app, NP: 16, Tool: ToolScalAna})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trc, err := Run(RunConfig{App: app, NP: 16, Tool: ToolTracer})
+	trc, err := NewEngine().Run(RunConfig{App: app, NP: 16, Tool: ToolTracer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpc, err := Run(RunConfig{App: app, NP: 16, Tool: ToolCallPath})
+	hpc, err := NewEngine().Run(RunConfig{App: app, NP: 16, Tool: ToolCallPath})
 	if err != nil {
 		t.Fatal(err)
 	}

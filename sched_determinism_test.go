@@ -9,6 +9,7 @@ import (
 	"scalana/internal/detect"
 	"scalana/internal/mpisim"
 	"scalana/internal/prof"
+	"scalana/internal/psg"
 
 	scalana "scalana"
 )
@@ -25,7 +26,8 @@ func TestSchedulerOrderDeterminism(t *testing.T) {
 
 	app := scalana.GetApp("zeusmp")
 	nps := []int{8, 16}
-	prog, graph, err := scalana.Compile(app)
+	e := scalana.NewEngine()
+	prog, _, err := e.Compile(app, psg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestSchedulerOrderDeterminism(t *testing.T) {
 		var out pipelineOut
 		var runs []detect.ScaleRun
 		for _, np := range nps {
-			ro, err := scalana.RunCompiled(prog, graph, scalana.RunConfig{
+			ro, err := e.Run(scalana.RunConfig{
 				App: app, NP: np, ToolName: "scalana", Prof: profCfg, Seed: 11,
 			})
 			if err != nil {
@@ -66,7 +68,7 @@ func TestSchedulerOrderDeterminism(t *testing.T) {
 		if out.json, err = rep.EncodeJSON(); err != nil {
 			t.Fatal(err)
 		}
-		ro, err := scalana.RunCompiled(prog, graph, scalana.RunConfig{
+		ro, err := e.Run(scalana.RunConfig{
 			App: app, NP: nps[0], ToolName: "commmatrix", Seed: 11,
 		})
 		if err != nil {

@@ -3,19 +3,22 @@
 # and write a machine-readable JSON snapshot.
 #
 # Usage:
-#   scripts/bench-snapshot.sh OUT.json [vm|interp|sched]
+#   scripts/bench-snapshot.sh OUT.json [vm|sched]
 #
-# The second argument selects the execution engine for program runs: the
-# bytecode VM (default) or the tree-walking interpreter (via the
-# SCALANA_BENCH_EXEC environment variable the benchmarks honor). The
-# sched mode is the VM engine under the cooperative run-to-block
-# scheduler — the label distinguishes post-scheduler snapshots from the
-# pre-scheduler BENCH_vm.json numbers. The committed snapshots pair the
-# modes:
+# The second argument is the label recorded in the snapshot's "exec"
+# field; both modes run the bytecode VM, the only execution engine. The
+# sched label marks snapshots taken under the cooperative run-to-block
+# scheduler, distinguishing them from the pre-scheduler BENCH_vm.json
+# numbers:
 #
-#   scripts/bench-snapshot.sh BENCH_baseline.json interp
 #   scripts/bench-snapshot.sh BENCH_vm.json vm
 #   scripts/bench-snapshot.sh BENCH_sched.json sched
+#
+# BENCH_baseline.json is a frozen record of the tree-walking interpreter
+# taken when the VM replaced it. The interpreter is now a test-only
+# reference implementation that no benchmark can select, so that file can
+# no longer be regenerated; it stays committed as the baseline the VM
+# gates compare against.
 #
 # TestBenchBaselinesParse keeps the files loadable, holds the VM snapshot
 # to its speedup/allocation gates against the baseline, and holds the
@@ -23,13 +26,12 @@
 # BENCHTIME overrides the go test -benchtime value (default 1s).
 set -euo pipefail
 
-out=${1:?usage: bench-snapshot.sh OUT.json [vm|interp|sched]}
+out=${1:?usage: bench-snapshot.sh OUT.json [vm|sched]}
 mode=${2:-vm}
 case "$mode" in
-vm | sched) exec_env="" ;;
-interp) exec_env="interp" ;;
+vm | sched) ;;
 *)
-	echo "bench-snapshot.sh: unknown mode \"$mode\" (want vm, interp, or sched)" >&2
+	echo "bench-snapshot.sh: unknown mode \"$mode\" (want vm or sched)" >&2
 	exit 2
 	;;
 esac
@@ -38,9 +40,9 @@ cd "$(dirname "$0")/.."
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
-SCALANA_BENCH_EXEC="$exec_env" go test -run '^$' -bench Sweep -benchmem \
+go test -run '^$' -bench Sweep -benchmem \
 	-benchtime "${BENCHTIME:-1s}" . | tee "$tmp"
-SCALANA_BENCH_EXEC="$exec_env" go test -run '^$' -bench . -benchmem \
+go test -run '^$' -bench . -benchmem \
 	-benchtime "${BENCHTIME:-1s}" ./internal/prof | tee -a "$tmp"
 
 # An empty snapshot is worse than no snapshot: TestBenchBaselinesParse

@@ -81,35 +81,6 @@ func TestSweepCompilesOncePerApp(t *testing.T) {
 	}
 }
 
-// TestRunCompiledMatchesRun checks the compile/execute split: running a
-// pre-compiled program is identical to the one-shot Run path.
-func TestRunCompiledMatchesRun(t *testing.T) {
-	app := GetApp("mg")
-	cfg := RunConfig{App: app, NP: 8, Tool: ToolScalAna, Seed: 7}
-
-	oneShot, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, graph, err := Compile(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	split, err := RunCompiled(prog, graph, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oneShot.Result.Elapsed != split.Result.Elapsed {
-		t.Errorf("elapsed differs: %g vs %g", oneShot.Result.Elapsed, split.Result.Elapsed)
-	}
-	if oneShot.StorageBytes() != split.StorageBytes() {
-		t.Errorf("storage differs: %d vs %d", oneShot.StorageBytes(), split.StorageBytes())
-	}
-	if len(oneShot.PPG().Perf) != len(split.PPG().Perf) {
-		t.Errorf("PPG vertex counts differ: %d vs %d", len(oneShot.PPG().Perf), len(split.PPG().Perf))
-	}
-}
-
 // TestEngineRunSharesGraphAcrossRuns verifies that engine runs at
 // different scales reuse one compiled graph and still match the
 // fresh-compile path exactly.
@@ -126,7 +97,7 @@ func TestEngineRunSharesGraphAcrossRuns(t *testing.T) {
 	if a.Graph != b.Graph {
 		t.Error("engine runs of one app should share the compiled graph")
 	}
-	fresh, err := Run(RunConfig{App: GetApp("cg"), NP: 16, Tool: ToolScalAna})
+	fresh, err := NewEngine().Run(RunConfig{App: GetApp("cg"), NP: 16, Tool: ToolScalAna})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 // evaluation (§VI, Table II) is a comparison *between* such tools —
 // graph-based profiling versus tracing versus call-path profiling — so
 // the run API treats the tool as an open extension point: implementations
-// register under a stable name with RegisterTool, and Run/RunCompiled
-// dispatch purely through the registry. The bundled backends ("scalana",
+// register under a stable name with RegisterTool, and Engine.Run
+// dispatches purely through the registry. The bundled backends ("scalana",
 // "tracer", "hpctk", and the comm-matrix collector) are ordinary
 // registered implementations with no special-cased dispatch.
 //
@@ -70,7 +70,7 @@ type ToolRun interface {
 
 // IndirectObserver is optionally implemented by a ToolRun that wants
 // runtime indirect-call resolutions (paper §III-B3). When implemented,
-// the interpreter reports every resolved indirect call; rank is the
+// the bytecode VM reports every resolved indirect call; rank is the
 // resolving rank, and calls arrive concurrently across ranks (but in
 // order within one rank).
 type IndirectObserver interface {

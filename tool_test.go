@@ -80,7 +80,7 @@ func TestToolsListingAndLookup(t *testing.T) {
 }
 
 func TestRunUnknownToolNameErrors(t *testing.T) {
-	_, err := scalana.Run(scalana.RunConfig{App: scalana.GetApp("cg"), NP: 4, ToolName: "no-such-tool"})
+	_, err := scalana.NewEngine().Run(scalana.RunConfig{App: scalana.GetApp("cg"), NP: 4, ToolName: "no-such-tool"})
 	if err == nil || !strings.Contains(err.Error(), "no-such-tool") {
 		t.Errorf("unknown tool name should error naming the tool, got: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestRunUnknownToolNameErrors(t *testing.T) {
 // not a panic inside Run.
 func TestRunNilToolRunErrors(t *testing.T) {
 	scalana.RegisterTool(stubTool{name: "stub-nil-run"})
-	_, err := scalana.Run(scalana.RunConfig{App: scalana.GetApp("cg"), NP: 4, ToolName: "stub-nil-run"})
+	_, err := scalana.NewEngine().Run(scalana.RunConfig{App: scalana.GetApp("cg"), NP: 4, ToolName: "stub-nil-run"})
 	if err == nil || !strings.Contains(err.Error(), "returned no run") {
 		t.Errorf("nil ToolRun should error, got: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestToolEnumResolvesToRegisteredNames(t *testing.T) {
 			}
 		}
 	}
-	if _, err := scalana.Run(scalana.RunConfig{App: scalana.GetApp("cg"), NP: 4, Tool: scalana.Tool(99)}); err == nil {
+	if _, err := scalana.NewEngine().Run(scalana.RunConfig{App: scalana.GetApp("cg"), NP: 4, Tool: scalana.Tool(99)}); err == nil {
 		t.Error("out-of-range enum value should error rather than run bare")
 	}
 }
@@ -136,11 +136,11 @@ func TestEnumAndNameRunsIdentical(t *testing.T) {
 		{scalana.ToolTracer, "tracer"},
 		{scalana.ToolCallPath, "hpctk"},
 	} {
-		byEnum, err := scalana.Run(scalana.RunConfig{App: app, NP: 8, Tool: tc.enum, Seed: 3})
+		byEnum, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: 8, Tool: tc.enum, Seed: 3})
 		if err != nil {
 			t.Fatalf("%s via enum: %v", tc.name, err)
 		}
-		byName, err := scalana.Run(scalana.RunConfig{App: app, NP: 8, ToolName: tc.name, Seed: 3})
+		byName, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: 8, ToolName: tc.name, Seed: 3})
 		if err != nil {
 			t.Fatalf("%s via name: %v", tc.name, err)
 		}
@@ -188,7 +188,7 @@ func TestRunWireJSONMatchesCommittedFixtures(t *testing.T) {
 	cfg := prof.DefaultConfig()
 	cfg.SampleHz = 1000
 	for _, np := range []int{4, 8} {
-		out, err := scalana.Run(scalana.RunConfig{App: app, NP: np, ToolName: "scalana", Prof: cfg})
+		out, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: np, ToolName: "scalana", Prof: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestRunWireJSONMatchesCommittedFixtures(t *testing.T) {
 // TestMeasurementAccessorsNilSafe: a bare run carries no Measurement and
 // every accessor must degrade to zero values.
 func TestMeasurementAccessorsNilSafe(t *testing.T) {
-	out, err := scalana.Run(scalana.RunConfig{App: scalana.GetApp("cg"), NP: 4})
+	out, err := scalana.NewEngine().Run(scalana.RunConfig{App: scalana.GetApp("cg"), NP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestPSGOptionsNormalizeSharedAcrossSpellings(t *testing.T) {
 		t.Errorf("cache entries=%d misses=%d hits=%d, want 1/1/2", stats.Entries, stats.Misses, stats.Hits)
 	}
 
-	out, err := scalana.Run(scalana.RunConfig{App: app, NP: 4, PSGOptions: psg.Options{Contract: true}})
+	out, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: 4, PSGOptions: psg.Options{Contract: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func TestWireFormatSaveReloadReportIdentical(t *testing.T) {
 	dir := t.TempDir()
 	var live, reloaded []detect.ScaleRun
 	for _, np := range []int{4, 8} {
-		out, err := scalana.Run(scalana.RunConfig{App: app, NP: np, Tool: scalana.ToolScalAna, Prof: cfg})
+		out, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: np, Tool: scalana.ToolScalAna, Prof: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
