@@ -101,11 +101,11 @@ func BenchmarkAblationCompression(b *testing.B) {
 				cfg := prof.DefaultConfig()
 				cfg.Compress = on
 				out, err := e.Run(scalana.RunConfig{
-					App: scalana.GetApp("cg"), NP: 32, Tool: scalana.ToolScalAna, Prof: cfg})
+					App: scalana.GetApp("cg"), NP: 32, ToolName: "scalana", Prof: cfg})
 				if err != nil {
 					b.Fatal(err)
 				}
-				storage = out.StorageBytes()
+				storage = out.Measurement.StorageBytes()
 			}
 			b.ReportMetric(float64(storage), "storage_bytes")
 		})
@@ -158,7 +158,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 				cfg := prof.DefaultConfig()
 				cfg.SampleHz = hz
 				out, err := e.Run(scalana.RunConfig{
-					App: app, NP: 32, Tool: scalana.ToolScalAna, Prof: cfg})
+					App: app, NP: 32, ToolName: "scalana", Prof: cfg})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -215,12 +215,12 @@ func BenchmarkScale2048(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := e.Run(scalana.RunConfig{App: app, NP: 2048, Tool: scalana.ToolScalAna})
+		out, err := e.Run(scalana.RunConfig{App: app, NP: 2048, ToolName: "scalana"})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(100*(out.Result.Elapsed-base.Result.Elapsed)/base.Result.Elapsed, "overhead_pct")
-		b.ReportMetric(float64(out.StorageBytes()), "storage_bytes")
+		b.ReportMetric(float64(out.Measurement.StorageBytes()), "storage_bytes")
 	}
 }
 

@@ -67,8 +67,8 @@ func main() {
 	}
 	fmt.Printf("ran %s with %d ranks: %.4fs virtual time\n", app.Name, *np, res.Result.Elapsed)
 	fmt.Printf("%s storage: %s across %d ranks (%s per rank)\n", *tool,
-		report.Bytes(res.StorageBytes()), *np, report.Bytes(res.StorageBytes()/int64(*np)))
-	if pg := res.PPG(); pg != nil {
+		report.Bytes(res.Measurement.StorageBytes()), *np, report.Bytes(res.Measurement.StorageBytes()/int64(*np)))
+	if pg := res.Measurement.PPG(); pg != nil {
 		fmt.Printf("dependence edges: %d\n", pg.NumEdges())
 	}
 	if m, ok := res.Measurement.Data().(*commmatrix.Matrix); ok {
@@ -79,7 +79,7 @@ func main() {
 	}
 
 	if *out != "" {
-		profiles := res.Profiles()
+		profiles := res.Measurement.Profiles()
 		if profiles == nil {
 			fatalf("-o needs the scalana tool's profiles; tool %q produces none", *tool)
 		}

@@ -114,11 +114,11 @@ func diffApp(app *scalana.App, seed int64) error {
 			if err != nil {
 				return fmt.Errorf("%s np=%d (%s): %w", app.Name, np, eng.name, err)
 			}
-			ps := &prof.ProfileSet{App: app.Name, NP: np, Elapsed: out.Result.Elapsed, Profiles: out.Profiles()}
+			ps := &prof.ProfileSet{App: app.Name, NP: np, Elapsed: out.Result.Elapsed, Profiles: out.Measurement.Profiles()}
 			if encoded[i], err = ps.Encode(); err != nil {
 				return fmt.Errorf("%s np=%d (%s): encode profiles: %w", app.Name, np, eng.name, err)
 			}
-			runsByEngine[i] = append(runsByEngine[i], detect.ScaleRun{NP: np, PPG: out.PPG()})
+			runsByEngine[i] = append(runsByEngine[i], detect.ScaleRun{NP: np, PPG: out.Measurement.PPG()})
 		}
 		if !bytes.Equal(encoded[0], encoded[1]) {
 			return fmt.Errorf("%s np=%d: VM and interpreter profiles diverge:\n--- vm ---\n%s\n--- interp ---\n%s",

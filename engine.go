@@ -160,6 +160,6 @@ func (e *Engine) Sweep(app *App, nps []int, cfg SweepConfig) ([]detect.ScaleRun,
 		if err != nil {
 			return detect.ScaleRun{}, err
 		}
-		return detect.ScaleRun{NP: nps[i], PPG: out.PPG()}, nil
+		return detect.ScaleRun{NP: nps[i], PPG: out.Measurement.PPG()}, nil
 	})
 }

@@ -35,7 +35,7 @@ func TestEngineConcurrentRuns(t *testing.T) {
 				errs[w] = err
 				return
 			}
-			ps := &prof.ProfileSet{App: app.Name, NP: 16, Elapsed: out.Result.Elapsed, Profiles: out.Profiles()}
+			ps := &prof.ProfileSet{App: app.Name, NP: 16, Elapsed: out.Result.Elapsed, Profiles: out.Measurement.Profiles()}
 			encodings[w], errs[w] = ps.Encode()
 		}(w)
 	}

@@ -44,21 +44,22 @@ func main() {
 	fmt.Println("\nPMU evidence in dgemm (np=32):")
 	dgemmStats := func(name string) (lst, cycCV float64) {
 		out, err := e.Run(scalana.RunConfig{
-			App: scalana.GetApp(name), NP: 32, Tool: scalana.ToolScalAna, Prof: cfg})
+			App: scalana.GetApp(name), NP: 32, ToolName: "scalana", Prof: cfg})
 		if err != nil {
 			log.Fatal(err)
 		}
 		lstSum := make([]float64, out.NP)
 		cycSum := make([]float64, out.NP)
-		keys := out.PPG().PSG.Keys()
-		for _, vid := range out.PPG().PresentVIDs() {
+		pg := out.Measurement.PPG()
+		keys := pg.PSG.Keys()
+		for _, vid := range pg.PresentVIDs() {
 			if !strings.Contains(keys[vid], "@dgemm") {
 				continue
 			}
-			for i, v := range out.PPG().PMUSeries(vid, machine.TotLstIns) {
+			for i, v := range pg.PMUSeries(vid, machine.TotLstIns) {
 				lstSum[i] += v
 			}
-			for i, v := range out.PPG().PMUSeries(vid, machine.TotCyc) {
+			for i, v := range pg.PMUSeries(vid, machine.TotCyc) {
 				cycSum[i] += v
 			}
 		}

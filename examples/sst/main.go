@@ -43,17 +43,18 @@ func main() {
 	fmt.Println("\nper-rank TOT_INS in handleEvent (np=32):")
 	for _, name := range []string{"sst", "sst-opt"} {
 		out, err := e.Run(scalana.RunConfig{
-			App: scalana.GetApp(name), NP: 32, Tool: scalana.ToolScalAna, Prof: cfg})
+			App: scalana.GetApp(name), NP: 32, ToolName: "scalana", Prof: cfg})
 		if err != nil {
 			log.Fatal(err)
 		}
 		var lo, hi, sum float64
-		keys := out.PPG().PSG.Keys()
-		for _, vid := range out.PPG().PresentVIDs() {
+		pg := out.Measurement.PPG()
+		keys := pg.PSG.Keys()
+		for _, vid := range pg.PresentVIDs() {
 			if !strings.Contains(keys[vid], "@handleEvent") {
 				continue
 			}
-			for _, v := range out.PPG().PMUSeries(vid, machine.TotIns) {
+			for _, v := range pg.PMUSeries(vid, machine.TotIns) {
 				if lo == 0 || v < lo {
 					lo = v
 				}

@@ -45,8 +45,8 @@ func runMatrix(t *testing.T, app *scalana.App, np int) (*scalana.RunOutput, *com
 // through the public registry, not by poking the hook directly.
 func TestCollectorCountsKnownPattern(t *testing.T) {
 	out, m := runMatrix(t, pairApp, 2)
-	if out.Tool != "commmatrix" || out.Measurement.ToolName() != "commmatrix" {
-		t.Errorf("tool name = %q / %q", out.Tool, out.Measurement.ToolName())
+	if out.Measurement.ToolName() != "commmatrix" {
+		t.Errorf("tool name = %q", out.Measurement.ToolName())
 	}
 	if got := m.At(0, 1); got != 300 {
 		t.Errorf("rank 0 -> 1 bytes = %g, want 300", got)
@@ -84,15 +84,15 @@ func TestCollectorCountsKnownPattern(t *testing.T) {
 		t.Errorf("rank 1: send=%d recv=%d coll=%d collBytes=%g, want 0/3/1/8", sends, recvs, colls, collBytes)
 	}
 
-	if out.StorageBytes() <= 0 {
+	if out.Measurement.StorageBytes() <= 0 {
 		t.Error("no storage accounted")
 	}
 	var sum int64
 	for _, rc := range m.Ranks {
 		sum += rc.StorageBytes()
 	}
-	if sum != out.StorageBytes() {
-		t.Errorf("storage sum %d != measurement total %d", sum, out.StorageBytes())
+	if sum != out.Measurement.StorageBytes() {
+		t.Errorf("storage sum %d != measurement total %d", sum, out.Measurement.StorageBytes())
 	}
 
 	flows := m.TopFlows(10)
@@ -206,7 +206,7 @@ func TestOverheadBelowTracer(t *testing.T) {
 	if cmOvh >= trOvh {
 		t.Errorf("commmatrix overhead %g should be below tracer %g", cmOvh, trOvh)
 	}
-	if cm.StorageBytes() >= tr.StorageBytes() {
-		t.Errorf("commmatrix storage %d should be below tracer %d", cm.StorageBytes(), tr.StorageBytes())
+	if cm.Measurement.StorageBytes() >= tr.Measurement.StorageBytes() {
+		t.Errorf("commmatrix storage %d should be below tracer %d", cm.Measurement.StorageBytes(), tr.Measurement.StorageBytes())
 	}
 }

@@ -183,6 +183,9 @@ func Detect(runs []ScaleRun, cfg Config) (*Report, error) {
 	if cfg.MaxSteps == 0 {
 		cfg = fillDefaults(cfg)
 	}
+	if cfg.TopK < 0 {
+		return nil, fmt.Errorf("detect: TopK must not be negative, got %d", cfg.TopK)
+	}
 	sorted := append([]ScaleRun(nil), runs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].NP < sorted[j].NP })
 	largest := sorted[len(sorted)-1]

@@ -345,6 +345,24 @@ func TestDetectErrors(t *testing.T) {
 	if _, err := Detect(nil, DefaultConfig()); err == nil {
 		t.Error("no runs should error")
 	}
+	// A negative TopK is a caller error, not a slice bound: every entry
+	// point (CLI -topk, serve "topk") reaches this check.
+	var runs []ScaleRun
+	for _, np := range []int{4, 8} {
+		s := newSynthetic(t, simpleSrc, np)
+		coll := s.vertex("main", psg.KindMPI)
+		for r := 0; r < np; r++ {
+			s.setTime(coll, r, 0.01*float64(np))
+		}
+		runs = append(runs, ScaleRun{NP: np, PPG: s.ppg()})
+	}
+	withDefaults := DefaultConfig()
+	withDefaults.TopK = -1
+	for _, cfg := range []Config{{TopK: -1}, withDefaults} {
+		if _, err := Detect(runs, cfg); err == nil || !strings.Contains(err.Error(), "TopK") {
+			t.Errorf("TopK=%d with MaxSteps=%d: got err %v, want a TopK error", cfg.TopK, cfg.MaxSteps, err)
+		}
+	}
 }
 
 func TestDetectSingleScaleSkipsNonScalable(t *testing.T) {

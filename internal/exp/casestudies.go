@@ -113,11 +113,11 @@ func fig7() (*Result, error) {
 
 	// (b) abnormal vertex: per-rank times on the imbalanced stencil.
 	demo := scalana.GetApp("stencil-demo-imbalanced")
-	out, err := eng.Run(scalana.RunConfig{App: demo, NP: 16, Tool: scalana.ToolScalAna, Prof: sweepProf()})
+	out, err := eng.Run(scalana.RunConfig{App: demo, NP: 16, ToolName: "scalana", Prof: sweepProf()})
 	if err != nil {
 		return nil, err
 	}
-	abV, vals := heaviestVertex(detect.ScaleRun{NP: 16, PPG: out.PPG()}, psg.KindComp, machine.TotCyc)
+	abV, vals := heaviestVertex(detect.ScaleRun{NP: 16, PPG: out.Measurement.PPG()}, psg.KindComp, machine.TotCyc)
 	if abV == nil {
 		return nil, fmt.Errorf("fig7: no Comp vertex with attributed time in the imbalanced stencil run")
 	}
@@ -326,17 +326,18 @@ func fig15() (*Result, error) {
 // instance, summed over its vertices.
 func handleEventSeries(appName string, c machine.Counter) ([]float64, error) {
 	out, err := eng.Run(scalana.RunConfig{
-		App: scalana.GetApp(appName), NP: 32, Tool: scalana.ToolScalAna, Prof: sweepProf()})
+		App: scalana.GetApp(appName), NP: 32, ToolName: "scalana", Prof: sweepProf()})
 	if err != nil {
 		return nil, err
 	}
 	sum := make([]float64, out.NP)
-	keys := out.PPG().PSG.Keys()
-	for _, vid := range out.PPG().PresentVIDs() {
+	pg := out.Measurement.PPG()
+	keys := pg.PSG.Keys()
+	for _, vid := range pg.PresentVIDs() {
 		if !strings.Contains(keys[vid], "@handleEvent") {
 			continue
 		}
-		for i, v := range out.PPG().PMUSeries(vid, c) {
+		for i, v := range pg.PMUSeries(vid, c) {
 			sum[i] += v
 		}
 	}
@@ -347,17 +348,18 @@ func fig16() (*Result, error) {
 	r := newResult("fig16", "Fig. 16: Nekbone dgemm PMU data before/after the fix, np=32")
 	series := func(appName string, c machine.Counter) ([]float64, error) {
 		out, err := eng.Run(scalana.RunConfig{
-			App: scalana.GetApp(appName), NP: 32, Tool: scalana.ToolScalAna, Prof: sweepProf()})
+			App: scalana.GetApp(appName), NP: 32, ToolName: "scalana", Prof: sweepProf()})
 		if err != nil {
 			return nil, err
 		}
 		sum := make([]float64, out.NP)
-		keys := out.PPG().PSG.Keys()
-		for _, vid := range out.PPG().PresentVIDs() {
+		pg := out.Measurement.PPG()
+		keys := pg.PSG.Keys()
+		for _, vid := range pg.PresentVIDs() {
 			if !strings.Contains(keys[vid], "@dgemm") {
 				continue
 			}
-			for i, v := range out.PPG().PMUSeries(vid, c) {
+			for i, v := range pg.PMUSeries(vid, c) {
 				sum[i] += v
 			}
 		}

@@ -143,7 +143,7 @@ func runTools(app *scalana.App, np int) (ovh map[string]float64, storage map[str
 			return nil, nil, fmt.Errorf("%s with %s: %w", app.Name, name, err)
 		}
 		ovh[name] = 100 * (out.Result.Elapsed - base.Result.Elapsed) / base.Result.Elapsed
-		storage[name] = out.StorageBytes()
+		storage[name] = out.Measurement.StorageBytes()
 	}
 	return ovh, storage, nil
 }

@@ -69,26 +69,27 @@ func fig4() (*Result, error) {
 func fig6() (*Result, error) {
 	r := newResult("fig6", "Fig. 6: PPG of the stencil demo, np=8")
 	app := scalana.GetApp("stencil-demo")
-	out, err := eng.Run(scalana.RunConfig{App: app, NP: 8, Tool: scalana.ToolScalAna, Prof: sweepProf()})
+	out, err := eng.Run(scalana.RunConfig{App: app, NP: 8, ToolName: "scalana", Prof: sweepProf()})
 	if err != nil {
 		return nil, err
 	}
 	r.addf("per-process PSG (replicated across 8 ranks):\n%s\n", out.Graph.Render())
+	pg := out.Measurement.PPG()
 
 	headers := []string{"Vertex", "Kind", "Line", "Time(rank0)", "TOT_INS(rank0)", "TOT_LST(rank0)"}
 	var rows [][]string
 	for _, v := range out.Graph.Vertices {
-		if !out.PPG().Present(v.VID) || v.Kind == psg.KindRoot {
+		if !pg.Present(v.VID) || v.Kind == psg.KindRoot {
 			continue
 		}
-		pd := out.PPG().PerfAt(v.VID, 0)
+		pd := pg.PerfAt(v.VID, 0)
 		rows = append(rows, []string{v.Key, v.Kind.String(), fmt.Sprintf("%d", v.Pos.Line),
 			report.Seconds(pd.Time), fmt.Sprintf("%.3g", pd.PMU[0]), fmt.Sprintf("%.3g", pd.PMU[2])})
 	}
 	r.addf("%s\n", report.Table("vertex performance data (rank 0)", headers, rows))
 
-	froms := make([]ppg.EdgeFrom, 0, len(out.PPG().Edges))
-	for from := range out.PPG().Edges {
+	froms := make([]ppg.EdgeFrom, 0, len(pg.Edges))
+	for from := range pg.Edges {
 		froms = append(froms, from)
 	}
 	sort.Slice(froms, func(i, j int) bool {
@@ -99,7 +100,7 @@ func fig6() (*Result, error) {
 	})
 	var erows [][]string
 	for _, from := range froms {
-		for _, e := range out.PPG().Edges[from] {
+		for _, e := range pg.Edges[from] {
 			erows = append(erows, []string{out.Graph.KeyOf(from.VID), fmt.Sprintf("%d", from.Rank),
 				out.Graph.KeyOf(e.PeerVID), fmt.Sprintf("%d", e.PeerRank),
 				fmt.Sprintf("%d", e.Count), report.Seconds(e.TotalWait)})
@@ -111,7 +112,7 @@ func fig6() (*Result, error) {
 	}
 	r.addf("%s", report.Table("inter-process dependence edges (first 24)",
 		[]string{"From vertex", "Rank", "To vertex", "To rank", "Count", "Total wait"}, erows))
-	r.Values["edges"] = float64(out.PPG().NumEdges())
+	r.Values["edges"] = float64(pg.NumEdges())
 	r.Values["vertices"] = float64(len(out.Graph.Vertices))
 	return r, nil
 }

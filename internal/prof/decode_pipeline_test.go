@@ -45,7 +45,7 @@ var profiledSets = sync.OnceValues(func() (map[int][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		ps := &prof.ProfileSet{App: app.Name, NP: np, Elapsed: out.Result.Elapsed, Profiles: out.Profiles()}
+		ps := &prof.ProfileSet{App: app.Name, NP: np, Elapsed: out.Result.Elapsed, Profiles: out.Measurement.Profiles()}
 		if sets[np], err = prof.EncodeProfileSet(ps); err != nil {
 			return nil, err
 		}

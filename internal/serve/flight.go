@@ -1,6 +1,13 @@
 package serve
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
+
+// errFlightPanicked is what joined waiters receive when the computation
+// they joined panicked instead of returning.
+var errFlightPanicked = errors.New("serve: computation panicked")
 
 // flight is one in-progress computation and its eventual result.
 type flight struct {
@@ -20,13 +27,16 @@ type flightGroup struct {
 	m  map[string]*flight
 }
 
-// Do runs fn under key, coalescing concurrent duplicates. The joined
-// callback (optional) fires on a caller that found an in-flight
-// computation, before it blocks waiting — that ordering is what lets
-// tests deterministically observe "a second request has coalesced"
-// while the first is still computing. Returns the shared result and
-// whether this call joined rather than computed.
-func (g *flightGroup) Do(key string, joined func(), fn func() ([]byte, error)) ([]byte, bool, error) {
+// Do runs fn under key, coalescing concurrent duplicates, and returns
+// the shared result. The joined callback (optional) fires on a caller
+// that found an in-flight computation, before it blocks waiting — that
+// ordering is what lets tests deterministically observe "a second
+// request has coalesced" while the first is still computing.
+//
+// If fn panics, the key is released and joined callers get
+// errFlightPanicked before the panic continues up the computing
+// caller's stack, so one bad computation never wedges its key.
+func (g *flightGroup) Do(key string, joined func(), fn func() ([]byte, error)) ([]byte, error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = map[string]*flight{}
@@ -37,17 +47,18 @@ func (g *flightGroup) Do(key string, joined func(), fn func() ([]byte, error)) (
 			joined()
 		}
 		<-f.done
-		return f.data, true, f.err
+		return f.data, f.err
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{done: make(chan struct{}), err: errFlightPanicked}
 	g.m[key] = f
 	g.mu.Unlock()
 
+	defer func() {
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		close(f.done)
+	}()
 	f.data, f.err = fn()
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(f.done)
-	return f.data, false, f.err
+	return f.data, f.err
 }

@@ -99,8 +99,10 @@ type Server struct {
 	// gate bounds concurrent simulation/PPG work across requests.
 	gate chan struct{}
 
-	// flights coalesces concurrent identical computations per endpoint.
-	flights flightGroup
+	// flights coalesces concurrent identical computations; flightTable
+	// holds each coalescing endpoint's counters.
+	flights     flightGroup
+	flightTable [numFlightKinds]flightEntry
 
 	mu       sync.Mutex
 	uploaded map[string]*scalana.App
@@ -116,24 +118,33 @@ type Server struct {
 	sampleMu sync.Mutex
 	samples  map[store.Key]*baseline.Sample
 
-	uploads         atomic.Int64
-	detectComputes  atomic.Int64
-	detectCoalesced atomic.Int64
-	sweepComputes   atomic.Int64
-	sweepCoalesced  atomic.Int64
-	commComputes    atomic.Int64
-	commCoalesced   atomic.Int64
-	watchComputes   atomic.Int64
-	watchCoalesced  atomic.Int64
-	sampleIngests   atomic.Int64
+	uploads       atomic.Int64
+	sampleIngests atomic.Int64
+}
 
-	// detectGate, when non-nil, blocks every detect computation until the
-	// channel closes. Test hook: it lets the coalescing test hold the
+// flightKind names an endpoint whose computations run under
+// single-flight; it indexes Server.flightTable.
+type flightKind int
+
+const (
+	kindDetect flightKind = iota
+	kindSweep
+	kindComm
+	kindWatch
+	numFlightKinds
+)
+
+// flightEntry is one coalescing endpoint's counters.
+type flightEntry struct {
+	// computes counts computations actually performed; coalesced counts
+	// requests answered by joining an in-flight identical computation.
+	computes  atomic.Int64
+	coalesced atomic.Int64
+	// hold, when non-nil, blocks every computation of this kind until
+	// the channel closes. Test hook: it lets the coalescing test hold the
 	// first computation open until a second request has verifiably
 	// joined. Set before the server starts handling requests.
-	detectGate chan struct{}
-	// watchGate is the same hook for watch computations.
-	watchGate chan struct{}
+	hold chan struct{}
 }
 
 // New creates a server.
@@ -196,17 +207,18 @@ type Stats struct {
 // Stats snapshots the service counters.
 func (s *Server) Stats() Stats {
 	entries, _ := s.st.List()
+	k := &s.flightTable
 	return Stats{
 		Uploads:         s.uploads.Load(),
 		StoredSets:      len(entries),
-		DetectComputes:  s.detectComputes.Load(),
-		DetectCoalesced: s.detectCoalesced.Load(),
-		SweepComputes:   s.sweepComputes.Load(),
-		SweepCoalesced:  s.sweepCoalesced.Load(),
-		CommComputes:    s.commComputes.Load(),
-		CommCoalesced:   s.commCoalesced.Load(),
-		WatchComputes:   s.watchComputes.Load(),
-		WatchCoalesced:  s.watchCoalesced.Load(),
+		DetectComputes:  k[kindDetect].computes.Load(),
+		DetectCoalesced: k[kindDetect].coalesced.Load(),
+		SweepComputes:   k[kindSweep].computes.Load(),
+		SweepCoalesced:  k[kindSweep].coalesced.Load(),
+		CommComputes:    k[kindComm].computes.Load(),
+		CommCoalesced:   k[kindComm].coalesced.Load(),
+		WatchComputes:   k[kindWatch].computes.Load(),
+		WatchCoalesced:  k[kindWatch].coalesced.Load(),
 		BaselineSamples: s.sampleCount(),
 		SampleIngests:   s.sampleIngests.Load(),
 		CompileCache:    s.engine.CacheStats(),
@@ -327,6 +339,26 @@ func fail(w http.ResponseWriter, err error) {
 	default:
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 	}
+}
+
+// serveFlight answers a request with the result of compute, run once per
+// key across concurrent identical requests of one kind.
+func (s *Server) serveFlight(w http.ResponseWriter, kind flightKind, key string, compute func() ([]byte, error)) {
+	e := &s.flightTable[kind]
+	data, err := s.flights.Do(key,
+		func() { e.coalesced.Add(1) },
+		func() ([]byte, error) {
+			e.computes.Add(1)
+			if e.hold != nil {
+				<-e.hold
+			}
+			return compute()
+		})
+	if err != nil {
+		fail(w, err)
+		return
+	}
+	writeRaw(w, http.StatusOK, data)
 }
 
 // acquire takes one simulation-gate slot.
@@ -632,6 +664,10 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown app %q", req.App)
 		return
 	}
+	if req.Config.TopK < 0 {
+		writeErr(w, http.StatusBadRequest, "config.topk must not be negative, got %d", req.Config.TopK)
+		return
+	}
 	dcfg := req.Config.resolve()
 
 	key, compute, err := s.planDetect(app, &req, dcfg)
@@ -639,20 +675,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	data, _, err := s.flights.Do(key,
-		func() { s.detectCoalesced.Add(1) },
-		func() ([]byte, error) {
-			s.detectComputes.Add(1)
-			if s.detectGate != nil {
-				<-s.detectGate
-			}
-			return compute()
-		})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeRaw(w, http.StatusOK, data)
+	s.serveFlight(w, kindDetect, key, compute)
 }
 
 // planDetect validates a detect request and returns its single-flight
@@ -791,13 +814,9 @@ func (s *Server) loadRuns(app *scalana.App, entries []store.Entry) ([]detect.Sca
 	}
 	runs := make([]detect.ScaleRun, 0, len(entries))
 	for _, e := range entries {
-		data, err := s.st.Get(e.Key)
+		ps, err := s.decodeStored(app, graph, e)
 		if err != nil {
 			return nil, err
-		}
-		ps, err := prof.DecodeProfileSet(data, graph)
-		if err != nil {
-			return nil, errf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", e.Key, app.Name, err)
 		}
 		pg, err := ppg.Build(graph, ps.Profiles)
 		if err != nil {
@@ -806,6 +825,21 @@ func (s *Server) loadRuns(app *scalana.App, entries []store.Entry) ([]detect.Sca
 		runs = append(runs, detect.ScaleRun{NP: e.NP, PPG: pg})
 	}
 	return runs, nil
+}
+
+// decodeStored reads one stored profile set and decodes it against the
+// app's compiled graph. A set that no longer decodes (the app's source
+// changed under it) is a 409, not corruption.
+func (s *Server) decodeStored(app *scalana.App, graph *psg.Graph, e store.Entry) (*prof.ProfileSet, error) {
+	data, err := s.st.Get(e.Key)
+	if err != nil {
+		return nil, err
+	}
+	ps, err := prof.DecodeProfileSet(data, graph)
+	if err != nil {
+		return nil, errf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", e.Key, app.Name, err)
+	}
+	return ps, nil
 }
 
 // encodeReport runs detection and renders the exact bytes scalana-detect
@@ -876,17 +910,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		parts[i] = fmt.Sprintf("%d:%s", e.NP, e.Hash)
 	}
 	key := fmt.Sprintf("sweep|%s|%s", app.Name, strings.Join(parts, ","))
-	data, _, err := s.flights.Do(key,
-		func() { s.sweepCoalesced.Add(1) },
-		func() ([]byte, error) {
-			s.sweepComputes.Add(1)
-			return s.computeSweep(app, entries)
-		})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeRaw(w, http.StatusOK, data)
+	s.serveFlight(w, kindSweep, key, func() ([]byte, error) {
+		return s.computeSweep(app, entries)
+	})
 }
 
 func (s *Server) computeSweep(app *scalana.App, entries []store.Entry) ([]byte, error) {
@@ -899,13 +925,9 @@ func (s *Server) computeSweep(app *scalana.App, entries []store.Entry) ([]byte, 
 	resp := sweepResponseJSON{App: app.Name}
 	var nps, elapsed []float64
 	for _, e := range entries {
-		data, err := s.st.Get(e.Key)
+		ps, err := s.decodeStored(app, graph, e)
 		if err != nil {
 			return nil, err
-		}
-		ps, err := prof.DecodeProfileSet(data, graph)
-		if err != nil {
-			return nil, errf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", e.Key, app.Name, err)
 		}
 		resp.Runs = append(resp.Runs, sweepRunJSON{NP: e.NP, Hash: e.Hash, Elapsed: detect.WireFloat(ps.Elapsed)})
 		nps = append(nps, float64(e.NP))
@@ -976,17 +998,9 @@ func (s *Server) handleComm(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	key := fmt.Sprintf("comm|%s|np=%d|seed=%d", app.Name, np, seed)
-	data, _, err := s.flights.Do(key,
-		func() { s.commCoalesced.Add(1) },
-		func() ([]byte, error) {
-			s.commComputes.Add(1)
-			return s.computeComm(app, np, seed)
-		})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeRaw(w, http.StatusOK, data)
+	s.serveFlight(w, kindComm, key, func() ([]byte, error) {
+		return s.computeComm(app, np, seed)
+	})
 }
 
 func (s *Server) computeComm(app *scalana.App, np int, seed int64) ([]byte, error) {

@@ -80,7 +80,7 @@ func encodeSets(t *testing.T, eng *scalana.Engine, app *scalana.App, nps []int, 
 		if err != nil {
 			t.Fatalf("profile %s np=%d: %v", app.Name, np, err)
 		}
-		ps := &prof.ProfileSet{App: app.Name, NP: np, Elapsed: out.Result.Elapsed, Profiles: out.Profiles()}
+		ps := &prof.ProfileSet{App: app.Name, NP: np, Elapsed: out.Result.Elapsed, Profiles: out.Measurement.Profiles()}
 		data, err := prof.EncodeProfileSet(ps)
 		if err != nil {
 			t.Fatalf("encode np=%d: %v", np, err)
@@ -214,76 +214,119 @@ func TestStoredBytesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDetectCoalescing is the acceptance test for request dedup: two
-// concurrent identical detect requests must trigger exactly one
-// simulation. The detectGate hook holds the first computation open
-// until the second request has verifiably joined the flight.
-func TestDetectCoalescing(t *testing.T) {
-	srv, ts := newTestServer(t)
-	gate := make(chan struct{})
-	srv.detectGate = gate
-
-	body, _ := json.Marshal(detectRequest{App: "cg", Scales: []int{4, 8}, Simulate: true})
-	type result struct {
-		code int
-		data []byte
+// uploadSets profiles app at each scale and uploads the sets.
+func uploadSets(t *testing.T, srv *Server, url string, app *scalana.App, nps []int) {
+	t.Helper()
+	sets := encodeSets(t, srv.engine, app, nps, 1000)
+	for _, np := range nps {
+		if code, body := post(t, url+"/v1/profiles", "application/json", sets[np]); code != http.StatusCreated {
+			t.Fatalf("upload np=%d: %d %s", np, code, body)
+		}
 	}
-	results := make(chan result, 2)
-	var wg sync.WaitGroup
-	launch := func() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			code, data := post(t, ts.URL+"/v1/detect", "application/json", body)
-			results <- result{code, data}
-		}()
-	}
+}
 
-	waitFor := func(desc string, pred func() bool) {
-		t.Helper()
-		for i := 0; i < 1000; i++ {
-			if pred() {
-				return
+// TestCoalescing is the acceptance test for request dedup on every
+// single-flight endpoint: two concurrent identical requests trigger
+// exactly one computation and get byte-identical bodies. The kind's
+// hold hook keeps the first computation open until the second request
+// has verifiably joined the flight.
+func TestCoalescing(t *testing.T) {
+	detectBody, _ := json.Marshal(detectRequest{App: "cg", Scales: []int{4, 8}, Simulate: true})
+	cases := []struct {
+		name  string
+		kind  flightKind
+		setup func(t *testing.T, srv *Server, url string)
+		// path is requested with POST when body is set, GET otherwise.
+		path  string
+		body  []byte
+		stats func(Stats) (computes, coalesced int64)
+	}{
+		{"detect", kindDetect, nil, "/v1/detect", detectBody,
+			func(st Stats) (int64, int64) { return st.DetectComputes, st.DetectCoalesced }},
+		{"sweep", kindSweep, func(t *testing.T, srv *Server, url string) {
+			uploadSets(t, srv, url, scalana.GetApp("cg"), []int{4, 8})
+		}, "/v1/sweep?app=cg", nil,
+			func(st Stats) (int64, int64) { return st.SweepComputes, st.SweepCoalesced }},
+		{"comm", kindComm, nil, "/v1/comm?app=cg&np=4", nil,
+			func(st Stats) (int64, int64) { return st.CommComputes, st.CommCoalesced }},
+		{"watch", kindWatch, uploadWatchHistory, "/v1/watch?app=cg", nil,
+			func(st Stats) (int64, int64) { return st.WatchComputes, st.WatchCoalesced }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t)
+			if tc.setup != nil {
+				tc.setup(t, srv, ts.URL)
 			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("timed out waiting for %s", desc)
-	}
+			entry := &srv.flightTable[tc.kind]
+			gate := make(chan struct{})
+			entry.hold = gate
 
-	launch() // first request starts computing and blocks on the gate
-	waitFor("first compute to start", func() bool { return srv.detectComputes.Load() == 1 })
-	launch() // second identical request must join, not compute
-	waitFor("second request to coalesce", func() bool { return srv.detectCoalesced.Load() == 1 })
-	close(gate)
-	wg.Wait()
-	close(results)
+			request := func() (int, []byte) {
+				if tc.body != nil {
+					return post(t, ts.URL+tc.path, "application/json", tc.body)
+				}
+				return get(t, ts.URL+tc.path)
+			}
+			type result struct {
+				code int
+				data []byte
+			}
+			results := make(chan result, 2)
+			var wg sync.WaitGroup
+			launch := func() {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					code, data := request()
+					results <- result{code, data}
+				}()
+			}
+			waitFor := func(desc string, pred func() bool) {
+				t.Helper()
+				for i := 0; i < 1000; i++ {
+					if pred() {
+						return
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+				t.Fatalf("timed out waiting for %s", desc)
+			}
 
-	var bodies [][]byte
-	for r := range results {
-		if r.code != http.StatusOK {
-			t.Fatalf("detect: %d %s", r.code, r.data)
-		}
-		bodies = append(bodies, r.data)
-	}
-	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Fatal("coalesced responses differ")
-	}
-	if got := srv.detectComputes.Load(); got != 1 {
-		t.Fatalf("expected exactly one detect computation, got %d", got)
-	}
-	if st := srv.Stats(); st.DetectComputes != 1 || st.DetectCoalesced != 1 {
-		t.Fatalf("stats %+v", st)
-	}
+			launch() // first request starts computing and blocks on the gate
+			waitFor("first compute to start", func() bool { return entry.computes.Load() == 1 })
+			launch() // second identical request must join, not compute
+			waitFor("second request to coalesce", func() bool { return entry.coalesced.Load() == 1 })
+			close(gate)
+			wg.Wait()
+			close(results)
 
-	// A third identical request after completion recomputes (the flight
-	// group dedups in-flight work, it is not a response cache) — and the
-	// report is byte-identical, which is the determinism contract.
-	code, third := post(t, ts.URL+"/v1/detect", "application/json", body)
-	if code != http.StatusOK || !bytes.Equal(third, bodies[0]) {
-		t.Fatalf("post-flight request: %d, identical=%t", code, bytes.Equal(third, bodies[0]))
-	}
-	if got := srv.detectComputes.Load(); got != 2 {
-		t.Fatalf("expected a second computation after the flight drained, got %d", got)
+			var bodies [][]byte
+			for r := range results {
+				if r.code != http.StatusOK {
+					t.Fatalf("%s: %d %s", tc.name, r.code, r.data)
+				}
+				bodies = append(bodies, r.data)
+			}
+			if !bytes.Equal(bodies[0], bodies[1]) {
+				t.Fatal("coalesced responses differ")
+			}
+			if computes, coalesced := tc.stats(srv.Stats()); computes != 1 || coalesced != 1 {
+				t.Fatalf("stats: %d computes, %d coalesced; want 1 and 1", computes, coalesced)
+			}
+
+			// A third identical request after completion recomputes (the
+			// flight group dedups in-flight work, it is not a response
+			// cache) — and the body is byte-identical, which is the
+			// determinism contract.
+			code, third := request()
+			if code != http.StatusOK || !bytes.Equal(third, bodies[0]) {
+				t.Fatalf("post-flight request: %d, identical=%t", code, bytes.Equal(third, bodies[0]))
+			}
+			if computes, _ := tc.stats(srv.Stats()); computes != 2 {
+				t.Fatalf("expected a second computation after the flight drained, got %d", computes)
+			}
+		})
 	}
 }
 
@@ -327,6 +370,7 @@ func TestDetectValidation(t *testing.T) {
 		{"simulate below MinNP", detectRequest{App: "cg", Simulate: true, Scales: []int{1, 4}}, http.StatusBadRequest},
 		{"scales and hashes", detectRequest{App: "cg", Scales: []int{4}, Hashes: []string{"ab"}}, http.StatusBadRequest},
 		{"simulate with hashes", detectRequest{App: "cg", Simulate: true, Scales: []int{4}, Hashes: []string{"ab"}}, http.StatusBadRequest},
+		{"negative topk", detectRequest{App: "cg", Simulate: true, Scales: []int{4, 8}, Config: detectConfigJSON{TopK: -1}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		body, _ := json.Marshal(tc.req)

@@ -219,20 +219,9 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	key := fmt.Sprintf("watch|%s|np=%d|%s|%s", app.Name, np, strings.Join(parts, ";"), paramsKey(p))
 
-	data, _, err := s.flights.Do(key,
-		func() { s.watchCoalesced.Add(1) },
-		func() ([]byte, error) {
-			s.watchComputes.Add(1)
-			if s.watchGate != nil {
-				<-s.watchGate
-			}
-			return s.computeWatch(app, np, p, nps, hists)
-		})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeRaw(w, http.StatusOK, data)
+	s.serveFlight(w, kindWatch, key, func() ([]byte, error) {
+		return s.computeWatch(app, np, p, nps, hists)
+	})
 }
 
 func (s *Server) computeWatch(app *scalana.App, np int, p baseline.Params, nps []int, hists map[int][]store.Entry) ([]byte, error) {

@@ -8,9 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
 	"scalana/internal/baseline"
 	"scalana/internal/fit"
@@ -194,10 +192,10 @@ func TestWatchEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWatchCoalescing mirrors TestDetectCoalescing for the watch
-// endpoint: two concurrent identical requests, one computation.
-func TestWatchCoalescing(t *testing.T) {
-	srv, ts := newTestServer(t)
+// uploadWatchHistory stores two near-identical cg runs at np=4: the
+// smallest history /v1/watch scores.
+func uploadWatchHistory(t *testing.T, srv *Server, url string) {
+	t.Helper()
 	app := scalana.GetApp("cg")
 	_, graph, err := scalana.Compile(app)
 	if err != nil {
@@ -206,61 +204,9 @@ func TestWatchCoalescing(t *testing.T) {
 	base := encodeSets(t, srv.engine, app, []int{4}, 1000)[4]
 	for _, f := range []float64{0.999, 1.001} {
 		set := scaleSet(t, base, graph, f)
-		if code, body := post(t, ts.URL+"/v1/profiles", "application/json", set); code != http.StatusCreated {
+		if code, body := post(t, url+"/v1/profiles", "application/json", set); code != http.StatusCreated {
 			t.Fatalf("upload: %d %s", code, body)
 		}
-	}
-	gate := make(chan struct{})
-	srv.watchGate = gate
-
-	type result struct {
-		code int
-		data []byte
-	}
-	results := make(chan result, 2)
-	var wg sync.WaitGroup
-	launch := func() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			code, data := get(t, ts.URL+"/v1/watch?app=cg")
-			results <- result{code, data}
-		}()
-	}
-	waitFor := func(desc string, pred func() bool) {
-		t.Helper()
-		for i := 0; i < 1000; i++ {
-			if pred() {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("timed out waiting for %s", desc)
-	}
-
-	launch()
-	waitFor("first watch compute to start", func() bool { return srv.watchComputes.Load() == 1 })
-	launch()
-	waitFor("second request to coalesce", func() bool { return srv.watchCoalesced.Load() == 1 })
-	close(gate)
-	wg.Wait()
-	close(results)
-
-	var bodies [][]byte
-	for r := range results {
-		if r.code != http.StatusOK {
-			t.Fatalf("watch: %d %s", r.code, r.data)
-		}
-		bodies = append(bodies, r.data)
-	}
-	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Fatal("coalesced watch responses differ")
-	}
-	if got := srv.watchComputes.Load(); got != 1 {
-		t.Fatalf("expected exactly one watch computation, got %d", got)
-	}
-	if st := srv.Stats(); st.WatchComputes != 1 || st.WatchCoalesced != 1 {
-		t.Fatalf("stats %+v", st)
 	}
 }
 

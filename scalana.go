@@ -30,58 +30,11 @@ import (
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/par"
-	"scalana/internal/ppg"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
 	"scalana/internal/trace"
 	"scalana/internal/vm"
 )
-
-// Tool is legacy sugar for selecting a bundled measurement tool. The run
-// API dispatches on registered tool names (RunConfig.ToolName,
-// RegisterTool); the enum constants below resolve to those names via
-// ToolName, so existing call sites keep working unchanged.
-type Tool int
-
-// Available tools.
-const (
-	// ToolNone runs the application bare (the overhead baseline).
-	ToolNone Tool = iota
-	// ToolScalAna attaches the graph-based profiler (paper's tool).
-	ToolScalAna
-	// ToolTracer attaches the Scalasca-like full tracer.
-	ToolTracer
-	// ToolCallPath attaches the HPCToolkit-like call-path profiler.
-	ToolCallPath
-)
-
-func (t Tool) String() string {
-	switch t {
-	case ToolNone:
-		return "none"
-	case ToolScalAna:
-		return "ScalAna"
-	case ToolTracer:
-		return "Scalasca-like tracer"
-	case ToolCallPath:
-		return "HPCToolkit-like profiler"
-	}
-	return "unknown"
-}
-
-// ToolName resolves the enum value to the registered tool name it is
-// sugar for ("" for ToolNone and for values outside the enum).
-func (t Tool) ToolName() string {
-	switch t {
-	case ToolScalAna:
-		return "scalana"
-	case ToolTracer:
-		return "tracer"
-	case ToolCallPath:
-		return "hpctk"
-	}
-	return ""
-}
 
 // App re-exports the workload type.
 type App = apps.App
@@ -121,12 +74,9 @@ type RunConfig struct {
 	App *App
 	NP  int
 	// ToolName selects a registered measurement tool by name (see
-	// RegisterTool / Tools). Empty means no tool unless the legacy Tool
-	// enum below selects one.
+	// RegisterTool / Tools): "scalana", "tracer", "hpctk", ... Empty
+	// means a bare run with no tool attached.
 	ToolName string
-	// Tool is the legacy enum selector, kept as sugar: it resolves to a
-	// registered name via Tool.ToolName. ToolName wins when both are set.
-	Tool Tool
 	// Prof configures the ScalAna profiler (zero value = paper defaults).
 	Prof prof.Config
 	// Trace configures the tracer baseline (zero value = defaults).
@@ -144,56 +94,17 @@ type RunConfig struct {
 	PSGOptions psg.Options
 }
 
-// resolveTool maps the config's tool selection to a registered name:
-// ToolName wins, otherwise the legacy enum resolves through
-// Tool.ToolName. Empty means a bare run.
-func (cfg RunConfig) resolveTool() (string, error) {
-	if cfg.ToolName != "" {
-		return cfg.ToolName, nil
-	}
-	if cfg.Tool == ToolNone {
-		return "", nil
-	}
-	name := cfg.Tool.ToolName()
-	if name == "" {
-		return "", fmt.Errorf("scalana: Tool(%d) is not a known tool enum value", int(cfg.Tool))
-	}
-	return name, nil
-}
-
 // RunOutput is the result of one execution.
 type RunOutput struct {
-	App *App
-	NP  int
-	// Tool is the resolved registered tool name ("" for a bare run).
-	Tool   string
+	App    *App
+	NP     int
 	Result mpisim.RunResult
 	Graph  *psg.Graph
 	// Measurement is the attached tool's collected result (nil for bare
-	// runs). The typed accessors below forward to it, so pre-registry
-	// callers migrate by adding parentheses.
+	// runs). Its accessors are nil-safe, so out.Measurement.Profiles()
+	// and out.Measurement.ToolName() work on any run.
 	Measurement *Measurement
 }
-
-// Profiles returns the per-rank ScalAna profiles ("scalana" tool runs
-// only). Compatibility accessor for Measurement.Profiles.
-func (o *RunOutput) Profiles() []*prof.RankProfile { return o.Measurement.Profiles() }
-
-// Traces returns the per-rank traces ("tracer" tool runs only).
-// Compatibility accessor for Measurement.Traces.
-func (o *RunOutput) Traces() []*trace.RankTrace { return o.Measurement.Traces() }
-
-// CtxProfiles returns the per-rank call-path profiles ("hpctk" tool runs
-// only). Compatibility accessor for Measurement.CtxProfiles.
-func (o *RunOutput) CtxProfiles() []*hpctk.RankProfile { return o.Measurement.CtxProfiles() }
-
-// PPG returns the assembled Program Performance Graph ("scalana" tool
-// runs only). Compatibility accessor for Measurement.PPG.
-func (o *RunOutput) PPG() *ppg.Graph { return o.Measurement.PPG() }
-
-// StorageBytes is the tool's total measurement data size (0 for bare
-// runs). Compatibility accessor for Measurement.StorageBytes.
-func (o *RunOutput) StorageBytes() int64 { return o.Measurement.StorageBytes() }
 
 // validateRunConfig checks a RunConfig before anything is compiled or
 // simulated.
@@ -229,18 +140,15 @@ type bodyBuilder func(prog *minilang.Program, graph *psg.Graph, cfg RunConfig, o
 // ToolRun lifecycle (HooksForRank before execution, concurrent
 // FinalizeRank after, one Finish at the end).
 func runCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig, exec bodyBuilder) (*RunOutput, error) {
-	name, err := cfg.resolveTool()
-	if err != nil {
-		return nil, err
-	}
-
-	out := &RunOutput{App: cfg.App, NP: cfg.NP, Tool: name, Graph: graph}
+	name := cfg.ToolName
+	out := &RunOutput{App: cfg.App, NP: cfg.NP, Graph: graph}
 	wcfg := mpisim.Config{NP: cfg.NP, Seed: cfg.Seed}
 	if cfg.App.CoreConfig != nil {
 		wcfg.Core = cfg.App.CoreConfig(cfg.NP)
 	}
 
 	var trun ToolRun
+	var err error
 	if name != "" {
 		tool, ok := LookupTool(name)
 		if !ok {

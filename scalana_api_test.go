@@ -30,20 +30,6 @@ func TestGetAppAndNames(t *testing.T) {
 	}
 }
 
-func TestToolString(t *testing.T) {
-	for tool, want := range map[Tool]string{
-		ToolNone:     "none",
-		ToolScalAna:  "ScalAna",
-		ToolTracer:   "Scalasca-like tracer",
-		ToolCallPath: "HPCToolkit-like profiler",
-		Tool(99):     "unknown",
-	} {
-		if tool.String() != want {
-			t.Errorf("%d.String() = %q, want %q", tool, tool.String(), want)
-		}
-	}
-}
-
 func TestCompileOptionsRespected(t *testing.T) {
 	app := GetApp("cg")
 	_, contracted, err := CompileOptions(app, psg.Options{MaxLoopDepth: 10, Contract: true})
@@ -62,41 +48,44 @@ func TestCompileOptionsRespected(t *testing.T) {
 func TestRunProducesToolOutputs(t *testing.T) {
 	app := GetApp("cg")
 	for _, tc := range []struct {
-		tool Tool
-		has  func(*RunOutput) bool
+		tool string
+		has  func(*Measurement) bool
 	}{
-		{ToolNone, func(o *RunOutput) bool {
-			return o.Profiles() == nil && o.Traces() == nil && o.CtxProfiles() == nil && o.StorageBytes() == 0
+		{"", func(m *Measurement) bool {
+			return m.Profiles() == nil && m.Traces() == nil && m.CtxProfiles() == nil && m.StorageBytes() == 0
 		}},
-		{ToolScalAna, func(o *RunOutput) bool { return len(o.Profiles()) == 8 && o.PPG() != nil && o.StorageBytes() > 0 }},
-		{ToolTracer, func(o *RunOutput) bool { return len(o.Traces()) == 8 && o.StorageBytes() > 0 }},
-		{ToolCallPath, func(o *RunOutput) bool { return len(o.CtxProfiles()) == 8 && o.StorageBytes() > 0 }},
+		{"scalana", func(m *Measurement) bool { return len(m.Profiles()) == 8 && m.PPG() != nil && m.StorageBytes() > 0 }},
+		{"tracer", func(m *Measurement) bool { return len(m.Traces()) == 8 && m.StorageBytes() > 0 }},
+		{"hpctk", func(m *Measurement) bool { return len(m.CtxProfiles()) == 8 && m.StorageBytes() > 0 }},
 	} {
-		out, err := NewEngine().Run(RunConfig{App: app, NP: 8, Tool: tc.tool})
+		out, err := NewEngine().Run(RunConfig{App: app, NP: 8, ToolName: tc.tool})
 		if err != nil {
-			t.Fatalf("%v: %v", tc.tool, err)
+			t.Fatalf("%q: %v", tc.tool, err)
 		}
-		if !tc.has(out) {
-			t.Errorf("%v: outputs missing or unexpected: %+v", tc.tool, out)
+		if got := out.Measurement.ToolName(); got != tc.tool {
+			t.Errorf("%q: measurement tool name = %q", tc.tool, got)
+		}
+		if !tc.has(out.Measurement) {
+			t.Errorf("%q: outputs missing or unexpected: %+v", tc.tool, out)
 		}
 	}
 }
 
 func TestRunsAreReproducibleWithSeed(t *testing.T) {
 	app := GetApp("mg")
-	a, err := NewEngine().Run(RunConfig{App: app, NP: 8, Tool: ToolScalAna, Seed: 42})
+	a, err := NewEngine().Run(RunConfig{App: app, NP: 8, ToolName: "scalana", Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewEngine().Run(RunConfig{App: app, NP: 8, Tool: ToolScalAna, Seed: 42})
+	b, err := NewEngine().Run(RunConfig{App: app, NP: 8, ToolName: "scalana", Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Result.Elapsed != b.Result.Elapsed {
 		t.Errorf("elapsed differs: %g vs %g", a.Result.Elapsed, b.Result.Elapsed)
 	}
-	if a.StorageBytes() != b.StorageBytes() {
-		t.Errorf("storage differs: %d vs %d", a.StorageBytes(), b.StorageBytes())
+	if a.Measurement.StorageBytes() != b.Measurement.StorageBytes() {
+		t.Errorf("storage differs: %d vs %d", a.Measurement.StorageBytes(), b.Measurement.StorageBytes())
 	}
 }
 
@@ -140,13 +129,13 @@ func main() {
 	mpi_barrier();
 }`,
 	}
-	out, err := NewEngine().Run(RunConfig{App: app, NP: 4, Tool: ToolScalAna})
+	out, err := NewEngine().Run(RunConfig{App: app, NP: 4, ToolName: "scalana"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Both targets observed at run time.
 	targets := map[string]bool{}
-	for _, rp := range out.Profiles() {
+	for _, rp := range out.Measurement.Profiles() {
 		for _, rec := range rp.Indirect {
 			targets[rec.Target] = true
 		}
@@ -157,10 +146,10 @@ func main() {
 	// The refined PSG contains vertices for both kernels, with samples on
 	// the heavy one.
 	heavyTime := 0.0
-	keys := out.PPG().PSG.Keys()
-	for _, vid := range out.PPG().PresentVIDs() {
+	keys := out.Measurement.PPG().PSG.Keys()
+	for _, vid := range out.Measurement.PPG().PresentVIDs() {
 		if strings.Contains(keys[vid], "@heavyKernel") {
-			for _, tm := range out.PPG().TimeSeries(vid) {
+			for _, tm := range out.Measurement.PPG().TimeSeries(vid) {
 				heavyTime += tm
 			}
 		}

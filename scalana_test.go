@@ -176,15 +176,15 @@ func TestToolOverheadOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scal, err := NewEngine().Run(RunConfig{App: app, NP: 16, Tool: ToolScalAna})
+	scal, err := NewEngine().Run(RunConfig{App: app, NP: 16, ToolName: "scalana"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trc, err := NewEngine().Run(RunConfig{App: app, NP: 16, Tool: ToolTracer})
+	trc, err := NewEngine().Run(RunConfig{App: app, NP: 16, ToolName: "tracer"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpc, err := NewEngine().Run(RunConfig{App: app, NP: 16, Tool: ToolCallPath})
+	hpc, err := NewEngine().Run(RunConfig{App: app, NP: 16, ToolName: "hpctk"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,12 +192,12 @@ func TestToolOverheadOrdering(t *testing.T) {
 		return 100 * (o.Result.Elapsed - base.Result.Elapsed) / base.Result.Elapsed
 	}
 	t.Logf("overhead%%: scalana=%.2f hpctk=%.2f tracer=%.2f", ovh(scal), ovh(hpc), ovh(trc))
-	t.Logf("storage: scalana=%d hpctk=%d tracer=%d", scal.StorageBytes(), hpc.StorageBytes(), trc.StorageBytes())
+	t.Logf("storage: scalana=%d hpctk=%d tracer=%d", scal.Measurement.StorageBytes(), hpc.Measurement.StorageBytes(), trc.Measurement.StorageBytes())
 	if !(ovh(trc) > ovh(scal)) {
 		t.Errorf("tracer overhead (%.2f%%) should exceed ScalAna (%.2f%%)", ovh(trc), ovh(scal))
 	}
-	if !(scal.StorageBytes() < hpc.StorageBytes() && hpc.StorageBytes() < trc.StorageBytes()) {
+	if !(scal.Measurement.StorageBytes() < hpc.Measurement.StorageBytes() && hpc.Measurement.StorageBytes() < trc.Measurement.StorageBytes()) {
 		t.Errorf("storage ordering violated: scalana=%d hpctk=%d tracer=%d",
-			scal.StorageBytes(), hpc.StorageBytes(), trc.StorageBytes())
+			scal.Measurement.StorageBytes(), hpc.Measurement.StorageBytes(), trc.Measurement.StorageBytes())
 	}
 }

@@ -50,13 +50,13 @@ func TestSchedulerOrderDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("np=%d: %v", np, err)
 			}
-			ps := &prof.ProfileSet{App: app.Name, NP: np, Elapsed: ro.Result.Elapsed, Profiles: ro.Profiles()}
+			ps := &prof.ProfileSet{App: app.Name, NP: np, Elapsed: ro.Result.Elapsed, Profiles: ro.Measurement.Profiles()}
 			enc, err := ps.Encode()
 			if err != nil {
 				t.Fatalf("np=%d: encode profiles: %v", np, err)
 			}
 			out.profiles = append(out.profiles, enc)
-			runs = append(runs, detect.ScaleRun{NP: np, PPG: ro.PPG()})
+			runs = append(runs, detect.ScaleRun{NP: np, PPG: ro.Measurement.PPG()})
 		}
 		dcfg := detect.DefaultConfig()
 		dcfg.CommCauses = true

@@ -117,7 +117,7 @@ func BenchmarkSweepCompileCache(b *testing.B) {
 	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, np := range nps {
-				if _, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: np, Tool: scalana.ToolScalAna, Prof: cfg}); err != nil {
+				if _, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: np, ToolName: "scalana", Prof: cfg}); err != nil {
 					b.Fatal(err)
 				}
 			}

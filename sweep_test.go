@@ -86,24 +86,24 @@ func TestSweepCompilesOncePerApp(t *testing.T) {
 // fresh-compile path exactly.
 func TestEngineRunSharesGraphAcrossRuns(t *testing.T) {
 	e := NewEngine()
-	a, err := e.Run(RunConfig{App: GetApp("cg"), NP: 8, Tool: ToolScalAna})
+	a, err := e.Run(RunConfig{App: GetApp("cg"), NP: 8, ToolName: "scalana"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Run(RunConfig{App: GetApp("cg"), NP: 16, Tool: ToolScalAna})
+	b, err := e.Run(RunConfig{App: GetApp("cg"), NP: 16, ToolName: "scalana"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Graph != b.Graph {
 		t.Error("engine runs of one app should share the compiled graph")
 	}
-	fresh, err := NewEngine().Run(RunConfig{App: GetApp("cg"), NP: 16, Tool: ToolScalAna})
+	fresh, err := NewEngine().Run(RunConfig{App: GetApp("cg"), NP: 16, ToolName: "scalana"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Result.Elapsed != b.Result.Elapsed || fresh.StorageBytes() != b.StorageBytes() {
+	if fresh.Result.Elapsed != b.Result.Elapsed || fresh.Measurement.StorageBytes() != b.Measurement.StorageBytes() {
 		t.Errorf("shared-graph run differs from fresh-compile run: elapsed %g vs %g, storage %d vs %d",
-			b.Result.Elapsed, fresh.Result.Elapsed, b.StorageBytes(), fresh.StorageBytes())
+			b.Result.Elapsed, fresh.Result.Elapsed, b.Measurement.StorageBytes(), fresh.Measurement.StorageBytes())
 	}
 }
 

@@ -89,12 +89,12 @@ func TestWireFormatSaveReloadReportIdentical(t *testing.T) {
 	dir := t.TempDir()
 	var live, reloaded []detect.ScaleRun
 	for _, np := range []int{4, 8} {
-		out, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: np, Tool: scalana.ToolScalAna, Prof: cfg})
+		out, err := scalana.NewEngine().Run(scalana.RunConfig{App: app, NP: np, ToolName: "scalana", Prof: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		live = append(live, detect.ScaleRun{NP: np, PPG: out.PPG()})
-		ps := &prof.ProfileSet{App: app.Name, NP: np, Elapsed: out.Result.Elapsed, Profiles: out.Profiles()}
+		live = append(live, detect.ScaleRun{NP: np, PPG: out.Measurement.PPG()})
+		ps := &prof.ProfileSet{App: app.Name, NP: np, Elapsed: out.Result.Elapsed, Profiles: out.Measurement.Profiles()}
 		path := filepath.Join(dir, fixtureName(app.Name, np))
 		if err := ps.Save(path); err != nil {
 			t.Fatal(err)
