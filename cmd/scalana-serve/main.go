@@ -23,14 +23,23 @@
 // newest against the rolling baseline of its predecessors; the
 // -watch-* flags set the default thresholds (overridable per request
 // via query parameters).
+//
+// Each stored set is decoded and built once and then held in a run cache
+// bounded by -cache-bytes. SIGINT or SIGTERM stops accepting connections
+// and drains in-flight requests before the process exits 0.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"scalana/internal/baseline"
 	"scalana/internal/fit"
@@ -51,6 +60,7 @@ func main() {
 	watchMinRuns := flag.Int("watch-min-runs", 2, "default minimum baseline runs before a vertex is scored")
 	watchMinShare := flag.Float64("watch-min-share", 0.01, "default minimum share of total time for flagging")
 	watchMerge := flag.String("watch-merge", "median", "cross-rank merge strategy baselines are built with (server-wide)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "bound on the run cache of decoded stored sets, in bytes (0 = 64 MiB, negative disables)")
 	quiet := flag.Bool("quiet", false, "suppress the per-request log")
 	flag.Parse()
 
@@ -75,7 +85,8 @@ func main() {
 			ZThd: *watchZ, CUSUMThd: *watchCUSUM, CUSUMK: *watchK,
 			MinRuns: *watchMinRuns, MinShare: *watchMinShare,
 		},
-		Merge: merge,
+		Merge:      merge,
+		CacheBytes: *cacheBytes,
 	}
 	if !*quiet {
 		cfg.Logf = logger.Printf
@@ -84,10 +95,33 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	hs := &http.Server{
+		Addr:    *addr,
+		Handler: srv.Handler(),
+		// Bound how long a client may take to send its request, so a
+		// slow or stalled one cannot hold a connection forever. No write
+		// timeout: simulate-mode detects legitimately run long.
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	drained := make(chan error, 1)
+	go func() {
+		<-ctx.Done()
+		stop() // a second signal kills the process outright
+		logger.Printf("shutting down: draining in-flight requests")
+		drained <- hs.Shutdown(context.Background())
+	}()
 	logger.Printf("listening on %s (store: %s)", *addr, st.Root())
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		fatalf("%v", err)
 	}
+	if err := <-drained; err != nil {
+		fatalf("shutdown: %v", err)
+	}
+	logger.Printf("stopped")
 }
 
 func fatalf(format string, args ...any) {

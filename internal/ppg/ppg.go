@@ -4,15 +4,17 @@
 // communication dependence edges connect the vertices that waited to the
 // vertices that kept them waiting.
 //
-// Storage is columnar (ISSUE 2, DESIGN.md §7): all per-vertex, per-rank
-// performance vectors live in one contiguous block indexed
-// [int(vid)*NP + rank], one allocation per scale instead of one map row
-// per vertex, and dependence edges are keyed by interned psg.VID.
+// Storage is columnar (DESIGN.md §7): the per-rank performance vectors
+// of every vertex some rank sampled live in one contiguous block, one
+// row of NP entries per present vertex, indexed [row*NP + rank] through
+// a per-VID row table. Never-sampled vertices take no row, and
+// dependence edges are keyed by interned psg.VID.
 package ppg
 
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"scalana/internal/machine"
 	"scalana/internal/par"
@@ -45,14 +47,16 @@ type DepEdge struct {
 type Graph struct {
 	PSG *psg.Graph
 	NP  int
-	// Perf is the columnar performance block: the vector profiling
-	// collected for vertex vid on rank r is Perf[int(vid)*NP + r],
-	// zero-valued where the rank never sampled the vertex. Use PerfAt /
-	// TimeSeries / PMUSeries unless iterating the whole block.
-	Perf []prof.PerfData
-	// present[vid] records whether any rank attributed data to vid — the
-	// equivalent of key presence in the old per-vertex map.
-	present []bool
+	// perf is the columnar performance block, one row of NP entries per
+	// present vertex: the vector profiling collected for vertex vid on
+	// rank r is perf[rowOf[vid]*NP + r], zero-valued where the rank never
+	// sampled the vertex.
+	perf []prof.PerfData
+	// rowOf maps each VID of the symbol table to its row in perf, or -1
+	// when no rank attributed data to it (the equivalent of key absence
+	// in the old per-vertex map). Absent rows would be all zeros, so
+	// leaving them out loses nothing.
+	rowOf []int32
 	// Edges holds inter-process dependence edges grouped by waiting side.
 	Edges map[EdgeFrom][]*DepEdge
 	// RankTime is each rank's total sampled time.
@@ -137,8 +141,7 @@ func Build(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 	pg := &Graph{
 		PSG:      g,
 		NP:       np,
-		Perf:     make([]prof.PerfData, nv*np), // ONE block for the whole scale
-		present:  make([]bool, nv),
+		rowOf:    make([]int32, nv),
 		RankTime: make([]float64, np),
 	}
 
@@ -224,11 +227,14 @@ func Build(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 	for i := range parts {
 		nBuckets += len(parts[i].froms)
 	}
+	for vid := range pg.rowOf {
+		pg.rowOf[vid] = -1
+	}
 	pg.Edges = make(map[EdgeFrom][]*DepEdge, nBuckets)
 	for i, rp := range profiles {
 		for vid := range rp.Vertex {
-			if !pg.present[vid] && rp.Vertex[vid].Active() {
-				pg.present[vid] = true
+			if pg.rowOf[vid] < 0 && rp.Vertex[vid].Active() {
+				pg.rowOf[vid] = 0 // present; its row is assigned below
 			}
 		}
 		pg.Storage += parts[i].storage
@@ -237,12 +243,25 @@ func Build(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 			pg.Edges[from] = parts[i].buckets[j]
 		}
 	}
+	// One row per present vertex, in VID order: the block holds only
+	// sampled vertices (5 of zeusmp's 31), one allocation per scale.
+	rows := 0
+	for vid, row := range pg.rowOf {
+		if row >= 0 {
+			pg.rowOf[vid] = int32(rows)
+			rows++
+		}
+	}
+	pg.perf = make([]prof.PerfData, rows*np)
 	// Column filling touches disjoint rank slots of the one pre-allocated
-	// block, so it fans out too.
+	// block, so it fans out too. Inactive slots stay zero, which is what
+	// the block already holds.
 	par.ForEach(len(profiles), 0, func(i int) {
 		rp := profiles[i]
 		for vid := range rp.Vertex {
-			pg.Perf[vid*np+rp.Rank] = rp.Vertex[vid]
+			if row := pg.rowOf[vid]; row >= 0 {
+				pg.perf[int(row)*np+rp.Rank] = rp.Vertex[vid]
+			}
 		}
 	})
 
@@ -269,20 +288,20 @@ func Build(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 
 // NumVIDs returns the size of the symbol table this graph's columnar
 // block is laid out for.
-func (pg *Graph) NumVIDs() int { return len(pg.present) }
+func (pg *Graph) NumVIDs() int { return len(pg.rowOf) }
 
 // Present reports whether any rank attributed performance data to the
 // vertex.
 func (pg *Graph) Present(vid psg.VID) bool {
-	return int(vid) < len(pg.present) && pg.present[vid]
+	return int(vid) < len(pg.rowOf) && pg.rowOf[vid] >= 0
 }
 
 // PresentVIDs returns, in ascending VID order, the vertices at least one
 // rank attributed data to.
 func (pg *Graph) PresentVIDs() []psg.VID {
 	var out []psg.VID
-	for vid, ok := range pg.present {
-		if ok {
+	for vid, row := range pg.rowOf {
+		if row >= 0 {
 			out = append(out, psg.VID(vid))
 		}
 	}
@@ -292,19 +311,23 @@ func (pg *Graph) PresentVIDs() []psg.VID {
 // PerfAt returns the performance vector of one vertex on one rank (the
 // zero value when never sampled or out of range).
 func (pg *Graph) PerfAt(vid psg.VID, rank int) prof.PerfData {
-	if int(vid) >= pg.NumVIDs() || rank < 0 || rank >= pg.NP {
+	if rank < 0 || rank >= pg.NP {
 		return prof.PerfData{}
 	}
-	return pg.Perf[int(vid)*pg.NP+rank]
+	if r := pg.row(vid); r != nil {
+		return r[rank]
+	}
+	return prof.PerfData{}
 }
 
 // row returns the contiguous per-rank slice of one vertex, or nil when
-// the VID is out of range.
+// no rank sampled it or the VID is out of range.
 func (pg *Graph) row(vid psg.VID) []prof.PerfData {
-	if int(vid) >= pg.NumVIDs() {
+	if !pg.Present(vid) {
 		return nil
 	}
-	return pg.Perf[int(vid)*pg.NP : (int(vid)+1)*pg.NP]
+	start := int(pg.rowOf[vid]) * pg.NP
+	return pg.perf[start : start+pg.NP]
 }
 
 // TimeSeries returns the per-rank sampled time of one vertex (length NP,
@@ -357,6 +380,27 @@ func (pg *Graph) NumEdges() int {
 	n := 0
 	for _, es := range pg.Edges {
 		n += len(es)
+	}
+	return n
+}
+
+// mapSlotBytes is the measured heap cost of one Edges map entry
+// (key, value slice header and table overhead) at the sizes Build
+// produces.
+const mapSlotBytes = 72
+
+// Bytes estimates the heap the graph holds on its own: the performance
+// block, the row table, rank times, and the dependence edges with their
+// map. The PSG is shared across graphs and not counted. Caches charge
+// resident graphs by this figure.
+func (pg *Graph) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*pg))
+	n += int64(cap(pg.perf)) * int64(unsafe.Sizeof(prof.PerfData{}))
+	n += int64(cap(pg.rowOf)) * int64(unsafe.Sizeof(int32(0)))
+	n += int64(cap(pg.RankTime)) * int64(unsafe.Sizeof(float64(0)))
+	perEdge := int64(unsafe.Sizeof(DepEdge{}) + unsafe.Sizeof((*DepEdge)(nil)))
+	for _, es := range pg.Edges {
+		n += mapSlotBytes + int64(cap(es))*perEdge
 	}
 	return n
 }

@@ -10,21 +10,22 @@ import (
 var errFlightPanicked = errors.New("serve: computation panicked")
 
 // flight is one in-progress computation and its eventual result.
-type flight struct {
+type flight[V any] struct {
 	done chan struct{}
-	data []byte
+	val  V
 	err  error
 }
 
-// flightGroup gives request-level dedup (single-flight): concurrent
-// calls with one key run the function once and share its result. Unlike
-// a cache, nothing outlives the computation — the entry is removed as
-// soon as the result is published, so a later identical request
-// recomputes (detection inputs are content-addressed, but detect
-// configs and simulate parameters are not worth caching speculatively).
-type flightGroup struct {
+// flightGroup gives dedup (single-flight): concurrent calls with one key
+// run the function once and share its result. Nothing outlives the
+// computation — the entry is removed as soon as the result is
+// published, so a later call recomputes. The server uses one group for
+// whole requests (V = response bytes) and one inside the run cache for
+// fills (V = a decoded run or sample), which is what makes concurrent
+// misses on one stored set decode it once.
+type flightGroup[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[string]*flight
+	m  map[K]*flight[V]
 }
 
 // Do runs fn under key, coalescing concurrent duplicates, and returns
@@ -36,10 +37,10 @@ type flightGroup struct {
 // If fn panics, the key is released and joined callers get
 // errFlightPanicked before the panic continues up the computing
 // caller's stack, so one bad computation never wedges its key.
-func (g *flightGroup) Do(key string, joined func(), fn func() ([]byte, error)) ([]byte, error) {
+func (g *flightGroup[K, V]) Do(key K, joined func(), fn func() (V, error)) (V, error) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = map[string]*flight{}
+		g.m = map[K]*flight[V]{}
 	}
 	if f, ok := g.m[key]; ok {
 		g.mu.Unlock()
@@ -47,9 +48,9 @@ func (g *flightGroup) Do(key string, joined func(), fn func() ([]byte, error)) (
 			joined()
 		}
 		<-f.done
-		return f.data, f.err
+		return f.val, f.err
 	}
-	f := &flight{done: make(chan struct{}), err: errFlightPanicked}
+	f := &flight[V]{done: make(chan struct{}), err: errFlightPanicked}
 	g.m[key] = f
 	g.mu.Unlock()
 
@@ -59,6 +60,6 @@ func (g *flightGroup) Do(key string, joined func(), fn func() ([]byte, error)) (
 		g.mu.Unlock()
 		close(f.done)
 	}()
-	f.data, f.err = fn()
-	return f.data, f.err
+	f.val, f.err = fn()
+	return f.val, f.err
 }

@@ -11,7 +11,7 @@ import (
 // blocking forever, the panic still reaches the computing caller, and a
 // later Do on the same key runs its function again.
 func TestFlightPanicReleasesKey(t *testing.T) {
-	var g flightGroup
+	var g flightGroup[string, []byte]
 	release := make(chan struct{})
 	started := make(chan struct{})
 	joined := make(chan struct{})

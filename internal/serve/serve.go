@@ -8,12 +8,15 @@
 // app), simulation work is bounded by a worker gate sized by the
 // SweepConfig.Parallelism knob, and concurrent identical detect
 // requests coalesce into one computation (single-flight keyed by the
-// stored content hashes plus the normalized detect config).
+// stored content hashes plus the normalized detect config). Each stored
+// set is read, hash-checked, decoded and built into its PPG once: a
+// bounded run cache keyed by (compiled graph, store key) holds the
+// result for every later request (DESIGN.md §13).
 //
 // Endpoints (all JSON):
 //
 //	GET  /healthz                         liveness
-//	GET  /v1/stats                        counters: uploads, computes, coalescing, compile cache
+//	GET  /v1/stats                        counters: uploads, computes, coalescing, run cache, compile cache
 //	GET  /v1/apps                         bundled + uploaded application names
 //	POST /v1/apps                         register an ad-hoc app {name, source, min_np}
 //	POST /v1/profiles                     upload a profile set (prof.EncodeProfileSet bytes)
@@ -83,6 +86,12 @@ type Config struct {
 	// It is server-wide, not per-request: samples cached under one
 	// strategy are not comparable to baselines built under another.
 	Merge fit.MergeStrategy
+	// CacheBytes bounds the run cache, which holds stored sets decoded
+	// and built (for detect and sweep) and reduced to baseline samples
+	// (for watch), evicting least recently used entries past the bound.
+	// 0 takes a 64 MiB default; negative disables caching, so every
+	// request decodes its inputs afresh.
+	CacheBytes int64
 	// Logf receives one line per request (nil disables logging).
 	Logf func(format string, args ...any)
 }
@@ -101,8 +110,12 @@ type Server struct {
 
 	// flights coalesces concurrent identical computations; flightTable
 	// holds each coalescing endpoint's counters.
-	flights     flightGroup
+	flights     flightGroup[string, []byte]
 	flightTable [numFlightKinds]flightEntry
+
+	// cache holds each stored set decoded once, as a run and/or a
+	// baseline sample.
+	cache *runCache
 
 	mu       sync.Mutex
 	uploaded map[string]*scalana.App
@@ -111,12 +124,6 @@ type Server struct {
 	// server-wide baseline merge strategy.
 	watch baseline.Params
 	merge fit.MergeStrategy
-
-	// samples caches ingested baseline samples by store key. Entries are
-	// content-addressed (derived from stored bytes + compiled graph +
-	// server-wide merge strategy only), so the cache never invalidates.
-	sampleMu sync.Mutex
-	samples  map[store.Key]*baseline.Sample
 
 	uploads       atomic.Int64
 	sampleIngests atomic.Int64
@@ -171,7 +178,7 @@ func New(cfg Config) (*Server, error) {
 		sampleHz: hz,
 		watch:    cfg.Watch.Normalized(),
 		merge:    cfg.Merge,
-		samples:  map[store.Key]*baseline.Sample{},
+		cache:    newRunCache(cfg.CacheBytes),
 		logf:     cfg.Logf,
 		gate:     make(chan struct{}, p),
 		uploaded: map[string]*scalana.App{},
@@ -196,10 +203,20 @@ type Stats struct {
 	CommCoalesced   int64 `json:"comm_coalesced"`
 	WatchComputes   int64 `json:"watch_computes"`
 	WatchCoalesced  int64 `json:"watch_coalesced"`
-	// BaselineSamples is the number of ingested samples in the baseline
-	// cache; SampleIngests counts ingestions performed (cache misses).
+	// BaselineSamples is the number of ingested samples resident in the
+	// run cache; SampleIngests counts ingestions performed (sample
+	// misses).
 	BaselineSamples int   `json:"baseline_samples"`
 	SampleIngests   int64 `json:"sample_ingests"`
+	// CacheHits and CacheMisses count run-cache lookups of both kinds:
+	// a miss is a lookup that decoded (or derived) its value itself.
+	// CacheEvictions counts entries dropped by the byte bound or a
+	// baseline rebuild; CacheBytes is the resident total charged
+	// against the bound.
+	CacheHits      int64 `json:"cache_hits"`
+	CacheMisses    int64 `json:"cache_misses"`
+	CacheEvictions int64 `json:"cache_evictions"`
+	CacheBytes     int64 `json:"cache_bytes"`
 	// CompileCache is the shared engine's PSG compile-cache counters.
 	CompileCache scalana.CacheStats `json:"compile_cache"`
 }
@@ -219,8 +236,12 @@ func (s *Server) Stats() Stats {
 		CommCoalesced:   k[kindComm].coalesced.Load(),
 		WatchComputes:   k[kindWatch].computes.Load(),
 		WatchCoalesced:  k[kindWatch].coalesced.Load(),
-		BaselineSamples: s.sampleCount(),
+		BaselineSamples: s.cache.sampleCount(),
 		SampleIngests:   s.sampleIngests.Load(),
+		CacheHits:       s.cache.hits.Load(),
+		CacheMisses:     s.cache.misses.Load(),
+		CacheEvictions:  s.cache.evictions.Load(),
+		CacheBytes:      s.cache.residentBytes(),
 		CompileCache:    s.engine.CacheStats(),
 	}
 }
@@ -801,7 +822,7 @@ func dedupSorted(nps []int) []int {
 	return out
 }
 
-// loadRuns builds per-scale PPGs from stored profile sets. This is the
+// loadRuns gathers per-scale PPGs for stored profile sets. This is the
 // service path that replaces the legacy scalana-detect -profiles
 // directory loading: the store, not a filename convention, names the
 // inputs.
@@ -814,32 +835,37 @@ func (s *Server) loadRuns(app *scalana.App, entries []store.Entry) ([]detect.Sca
 	}
 	runs := make([]detect.ScaleRun, 0, len(entries))
 	for _, e := range entries {
-		ps, err := s.decodeStored(app, graph, e)
+		run, err := s.runFor(app, graph, e)
 		if err != nil {
 			return nil, err
 		}
-		pg, err := ppg.Build(graph, ps.Profiles)
-		if err != nil {
-			return nil, fmt.Errorf("assemble PPG from %s: %w", e.Key, err)
-		}
-		runs = append(runs, detect.ScaleRun{NP: e.NP, PPG: pg})
+		runs = append(runs, detect.ScaleRun{NP: e.NP, PPG: run.pg})
 	}
 	return runs, nil
 }
 
-// decodeStored reads one stored profile set and decodes it against the
-// app's compiled graph. A set that no longer decodes (the app's source
-// changed under it) is a 409, not corruption.
-func (s *Server) decodeStored(app *scalana.App, graph *psg.Graph, e store.Entry) (*prof.ProfileSet, error) {
-	data, err := s.st.Get(e.Key)
-	if err != nil {
-		return nil, err
-	}
-	ps, err := prof.DecodeProfileSet(data, graph)
-	if err != nil {
-		return nil, errf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", e.Key, app.Name, err)
-	}
-	return ps, nil
+// runFor returns one stored set decoded against the app's compiled
+// graph and built into its PPG, from the run cache or by reading,
+// hash-checking and decoding the stored bytes. A set that no longer
+// decodes (the app's source changed under it) is a 409, not
+// corruption.
+func (s *Server) runFor(app *scalana.App, graph *psg.Graph, e store.Entry) (*storedRun, error) {
+	v, err := s.cache.get(cacheKey{graph: graph, key: e.Key, kind: cacheRun}, func() (cacheValue, error) {
+		data, err := s.st.Get(e.Key)
+		if err != nil {
+			return cacheValue{}, err
+		}
+		ps, err := prof.DecodeProfileSet(data, graph)
+		if err != nil {
+			return cacheValue{}, errf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", e.Key, app.Name, err)
+		}
+		pg, err := ppg.Build(graph, ps.Profiles)
+		if err != nil {
+			return cacheValue{}, fmt.Errorf("assemble PPG from %s: %w", e.Key, err)
+		}
+		return cacheValue{run: &storedRun{pg: pg, elapsed: ps.Elapsed}}, nil
+	})
+	return v.run, err
 }
 
 // encodeReport runs detection and renders the exact bytes scalana-detect
@@ -925,13 +951,13 @@ func (s *Server) computeSweep(app *scalana.App, entries []store.Entry) ([]byte, 
 	resp := sweepResponseJSON{App: app.Name}
 	var nps, elapsed []float64
 	for _, e := range entries {
-		ps, err := s.decodeStored(app, graph, e)
+		run, err := s.runFor(app, graph, e)
 		if err != nil {
 			return nil, err
 		}
-		resp.Runs = append(resp.Runs, sweepRunJSON{NP: e.NP, Hash: e.Hash, Elapsed: detect.WireFloat(ps.Elapsed)})
+		resp.Runs = append(resp.Runs, sweepRunJSON{NP: e.NP, Hash: e.Hash, Elapsed: detect.WireFloat(run.elapsed)})
 		nps = append(nps, float64(e.NP))
-		elapsed = append(elapsed, ps.Elapsed)
+		elapsed = append(elapsed, run.elapsed)
 	}
 	if len(resp.Runs) > 0 {
 		baseNP, baseT := float64(resp.Runs[0].NP), float64(resp.Runs[0].Elapsed)

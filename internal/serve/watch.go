@@ -3,7 +3,7 @@ package serve
 // Streaming regression endpoints. /v1/watch scores the newest stored
 // run at one scale against the rolling baseline built from every
 // earlier run (internal/baseline), and /v1/baseline warms or rebuilds
-// the server's sample cache from the store. Watch responses are exactly
+// the samples the run cache holds. Watch responses are exactly
 // baseline.EncodeJSON()+'\n' — byte-identical to scalana-detect -watch
 // -json over the same store — and concurrent identical watch requests
 // coalesce into one computation, keyed by the full run history plus the
@@ -26,58 +26,33 @@ import (
 	scalana "scalana"
 )
 
-// sampleCount returns the baseline cache size.
-func (s *Server) sampleCount() int {
-	s.sampleMu.Lock()
-	defer s.sampleMu.Unlock()
-	return len(s.samples)
-}
-
-// dropSamples evicts cached samples for one app (rebuild support).
-func (s *Server) dropSamples(appName string) int {
-	s.sampleMu.Lock()
-	defer s.sampleMu.Unlock()
-	n := 0
-	for k := range s.samples {
-		if k.App == appName {
-			delete(s.samples, k)
-			n++
+// sampleFor returns the ingested sample for one stored set, from the
+// run cache or by ingesting it. A miss derives the sample from the
+// set's run when that is resident and otherwise decodes the stored
+// bytes; watch never makes runs resident itself, since each upload it
+// scores is read once.
+func (s *Server) sampleFor(app *scalana.App, graph *psg.Graph, e store.Entry) (*baseline.Sample, error) {
+	v, err := s.cache.get(cacheKey{graph: graph, key: e.Key, kind: cacheSample}, func() (cacheValue, error) {
+		var smp *baseline.Sample
+		if v, ok := s.cache.peek(cacheKey{graph: graph, key: e.Key, kind: cacheRun}); ok {
+			smp = baseline.Ingest(v.run.pg, e.Hash, v.run.elapsed, s.merge)
+		} else {
+			data, err := s.st.Get(e.Key)
+			if err != nil {
+				return cacheValue{}, err
+			}
+			smp, err = baseline.IngestBytes(data, graph, e.Hash, s.merge)
+			if err != nil {
+				return cacheValue{}, errf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", e.Key, app.Name, err)
+			}
 		}
-	}
-	return n
-}
-
-// sampleFor returns the ingested sample for one stored set, from cache
-// or by decoding the stored bytes against the app's compiled graph.
-// Samples are content-addressed, so a concurrent double-ingest is
-// wasted work but never a wrong answer.
-func (s *Server) sampleFor(app *scalana.App, e store.Entry) (*baseline.Sample, error) {
-	s.sampleMu.Lock()
-	smp := s.samples[e.Key]
-	s.sampleMu.Unlock()
-	if smp != nil {
-		return smp, nil
-	}
-	_, graph, err := s.engine.Compile(app, psg.Options{})
-	if err != nil {
-		return nil, err
-	}
-	data, err := s.st.Get(e.Key)
-	if err != nil {
-		return nil, err
-	}
-	smp, err = baseline.IngestBytes(data, graph, e.Hash, s.merge)
-	if err != nil {
-		return nil, errf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", e.Key, app.Name, err)
-	}
-	if smp.NP != e.NP {
-		return nil, fmt.Errorf("stored set %s decodes to np=%d: %w", e.Key, smp.NP, store.ErrCorrupt)
-	}
-	s.sampleIngests.Add(1)
-	s.sampleMu.Lock()
-	s.samples[e.Key] = smp
-	s.sampleMu.Unlock()
-	return smp, nil
+		if smp.NP != e.NP {
+			return cacheValue{}, fmt.Errorf("stored set %s decodes to np=%d: %w", e.Key, smp.NP, store.ErrCorrupt)
+		}
+		s.sampleIngests.Add(1)
+		return cacheValue{smp: smp}, nil
+	})
+	return v.smp, err
 }
 
 // histories lists every (np, upload-ordered entries) pair for an app,
@@ -118,7 +93,7 @@ func (s *Server) buildState(app *scalana.App, nps []int, hists map[int][]store.E
 	state := baseline.NewState(app.Name, graph, s.merge)
 	for _, np := range nps {
 		for seq, e := range hists[np] {
-			smp, err := s.sampleFor(app, e)
+			smp, err := s.sampleFor(app, graph, e)
 			if err != nil {
 				return nil, err
 			}
@@ -247,8 +222,8 @@ func (s *Server) computeWatch(app *scalana.App, np int, p baseline.Params, nps [
 type baselineRequest struct {
 	// App names the application whose stored runs to ingest.
 	App string `json:"app"`
-	// Rebuild drops the app's cached samples first, forcing re-ingestion
-	// from stored bytes.
+	// Rebuild drops the app's cached samples and runs first, forcing
+	// re-ingestion from stored bytes.
 	Rebuild bool `json:"rebuild,omitempty"`
 }
 
@@ -284,7 +259,7 @@ func (s *Server) handleBaseline(w http.ResponseWriter, r *http.Request) {
 	}
 	evicted := 0
 	if req.Rebuild {
-		evicted = s.dropSamples(app.Name)
+		evicted = s.cache.evictApp(app.Name)
 	}
 	nps, hists, err := s.histories(app.Name)
 	if err != nil {
@@ -295,12 +270,17 @@ func (s *Server) handleBaseline(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no profile sets stored for app %q", req.App)
 		return
 	}
+	_, graph, err := s.engine.Compile(app, psg.Options{})
+	if err != nil {
+		fail(w, err)
+		return
+	}
 	release := s.acquire()
 	before := s.sampleIngests.Load()
 	resp := baselineResponseJSON{App: app.Name, Merge: s.merge.String(), Evicted: evicted}
 	for _, np := range nps {
 		for _, e := range hists[np] {
-			if _, err := s.sampleFor(app, e); err != nil {
+			if _, err := s.sampleFor(app, graph, e); err != nil {
 				release()
 				fail(w, err)
 				return

@@ -146,8 +146,9 @@ func (s *Store) historyPath(app string, np int) string {
 // Storing bytes that are already present is a no-op returning the same
 // key — content addressing makes the write idempotent. The write is
 // atomic (temp file + rename in the destination directory), and the
-// first time a given content lands its hash is appended to the (app,
-// np) history log, establishing the upload order History reports.
+// first Put that lands a given content, or finds it stored but not yet
+// logged, appends its hash to the (app, np) history log, establishing
+// the upload order History reports.
 func (s *Store) Put(app string, np int, data []byte) (Key, error) {
 	if !ValidName(app) {
 		return Key{}, fmt.Errorf("store: invalid app name %q: %w", app, os.ErrInvalid)
@@ -163,7 +164,20 @@ func (s *Store) Put(app string, np int, data []byte) (Key, error) {
 	k := Key{App: app, NP: np, Hash: HashOf(data)}
 	path := s.pathFor(k)
 	if _, err := os.Stat(path); err == nil {
-		return k, nil // content-addressed: same path means same bytes
+		// Content-addressed: same path means same bytes. A set that an
+		// earlier Put renamed into place but failed to log (a crash or a
+		// failed append between the two steps) is logged now, so the
+		// client's retry gives it its upload position.
+		logged, err := s.logged(app, np, k.Hash)
+		if err != nil {
+			return Key{}, err
+		}
+		if !logged {
+			if err := s.appendHistory(app, np, k.Hash); err != nil {
+				return Key{}, err
+			}
+		}
+		return k, nil
 	}
 	dir := s.dirFor(app, np)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -209,6 +223,24 @@ func (s *Store) appendHistory(app string, np int, hash string) error {
 		return fmt.Errorf("store: history %s/%d: %w", app, np, cerr)
 	}
 	return nil
+}
+
+// logged reports whether the (app, np) history log names hash. Caller
+// holds s.mu.
+func (s *Store) logged(app string, np int, hash string) (bool, error) {
+	raw, err := os.ReadFile(s.historyPath(app, np))
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("store: history %s/%d: %w", app, np, err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.TrimSpace(line) == hash {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // History returns the stored entries for one (app, np) in upload order —

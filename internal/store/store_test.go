@@ -335,6 +335,54 @@ func TestHistoryLegacyUnlogged(t *testing.T) {
 	}
 }
 
+// TestHistoryRetriedPutKeepsOrder: a set renamed into place whose log
+// append never happened (the process died between the two steps) is
+// logged by the client's retry, at the retry's position. Before the
+// fix the retry returned at the existence check, the set stayed
+// unlogged, and History sorted it after every logged set.
+func TestHistoryRetriedPutKeepsOrder(t *testing.T) {
+	s := open(t)
+	a, err := s.Put("cg", 4, []byte("run-a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Place c's file by hand, as if Put crashed after the rename.
+	cData := []byte("run-c")
+	c := Key{App: "cg", NP: 4, Hash: HashOf(cData)}
+	if err := os.WriteFile(s.pathFor(c), cData, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if k, err := s.Put("cg", 4, cData); err != nil || k != c {
+		t.Fatalf("retried Put = %v, %v; want %v", k, err, c)
+	}
+	b, err := s.Put("cg", 4, []byte("run-b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second retry must not log c twice.
+	if _, err := s.Put("cg", 4, cData); err != nil {
+		t.Fatal(err)
+	}
+	hist, err := s.History("cg", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Key
+	for _, e := range hist {
+		got = append(got, e.Key)
+	}
+	if want := []Key{a, c, b}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("History = %v, want a, c, b = %v", got, want)
+	}
+	raw, err := os.ReadFile(s.historyPath("cg", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(raw, []byte(c.Hash)); n != 1 {
+		t.Fatalf("history.log names c %d times, want once", n)
+	}
+}
+
 // TestHistoryCorruptLog: a logged hash with no stored set is store
 // corruption, reported via the ErrCorrupt sentinel (a 500, not a 4xx,
 // at the serve layer).

@@ -9,6 +9,7 @@
 # served report identical to the one-shot CLI. Then uploads a second
 # run at np=8 and checks GET /v1/watch against scalana-detect -watch
 # over the same store — the streaming-regression byte-parity contract.
+# Finally sends SIGTERM and requires a graceful exit with status 0.
 #
 # Usage: scripts/serve-smoke.sh [port]
 set -euo pipefail
@@ -50,6 +51,9 @@ cmp testdata/cg.8.json "$work/roundtrip.json"
 # The served detect report must match the offline CLI byte-for-byte.
 curl -fs -X POST -d '{"app":"cg","scales":[4,8]}' "http://$addr/v1/detect" > "$work/served.json"
 diff "$work/offline.json" "$work/served.json"
+# A repeat reads its runs from the server's run cache: same bytes.
+curl -fs -X POST -d '{"app":"cg","scales":[4,8]}' "http://$addr/v1/detect" > "$work/served-again.json"
+cmp "$work/served.json" "$work/served-again.json"
 
 # The store-backed CLI path reads the same store the server wrote.
 "$work/scalana-detect" -app cg -scales 4,8 -store "$work/store" \
@@ -82,6 +86,13 @@ diff "$work/watch-served.json" "$work/watch-cli.json"
 curl -fs "http://$addr/v1/watch?app=cg&np=8&min-runs=1" > "$work/watch-again.json"
 cmp "$work/watch-served.json" "$work/watch-again.json"
 
+# SIGTERM drains in-flight requests and exits 0.
 kill "$server_pid"
-wait "$server_pid" 2>/dev/null || true
-echo "serve-smoke: OK (served detect and watch reports byte-identical to offline scalana-detect)"
+server_rc=0
+wait "$server_pid" || server_rc=$?
+server_pid=
+if [ "$server_rc" -ne 0 ]; then
+  echo "scalana-serve exited $server_rc on SIGTERM, want 0 (graceful shutdown)" >&2
+  exit 1
+fi
+echo "serve-smoke: OK (served detect and watch reports byte-identical to offline scalana-detect; clean shutdown)"
