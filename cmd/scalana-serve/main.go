@@ -26,7 +26,9 @@
 //
 // Each stored set is decoded and built once and then held in a run cache
 // bounded by -cache-bytes. SIGINT or SIGTERM stops accepting connections
-// and drains in-flight requests before the process exits 0.
+// and drains in-flight requests before the process exits 0; requests
+// still running after a 30 s drain period are cut off and the process
+// exits 1.
 package main
 
 import (
@@ -49,6 +51,9 @@ import (
 	scalana "scalana"
 )
 
+// drainPeriod bounds how long shutdown waits for in-flight requests.
+const drainPeriod = 30 * time.Second
+
 func main() {
 	addr := flag.String("addr", "localhost:8135", "listen address")
 	storeDir := flag.String("store", "", "profile store directory (required; created if missing)")
@@ -60,7 +65,7 @@ func main() {
 	watchMinRuns := flag.Int("watch-min-runs", 2, "default minimum baseline runs before a vertex is scored")
 	watchMinShare := flag.Float64("watch-min-share", 0.01, "default minimum share of total time for flagging")
 	watchMerge := flag.String("watch-merge", "median", "cross-rank merge strategy baselines are built with (server-wide)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "bound on the run cache of decoded stored sets, in bytes (0 = 64 MiB, negative disables)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "bound on the run cache of decoded stored sets, in bytes (0 = 64 MiB)")
 	quiet := flag.Bool("quiet", false, "suppress the per-request log")
 	flag.Parse()
 
@@ -112,16 +117,24 @@ func main() {
 		<-ctx.Done()
 		stop() // a second signal kills the process outright
 		logger.Printf("shutting down: draining in-flight requests")
-		drained <- hs.Shutdown(context.Background())
+		dctx, cancel := context.WithTimeout(context.Background(), drainPeriod)
+		defer cancel()
+		err := hs.Shutdown(dctx)
+		if err != nil {
+			hs.Close()
+		}
+		drained <- err
 	}()
 	logger.Printf("listening on %s (store: %s)", *addr, st.Root())
 	if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		fatalf("%v", err)
 	}
-	if err := <-drained; err != nil {
+	if err := <-drained; errors.Is(err, context.DeadlineExceeded) {
+		fatalf("shutdown: requests still running after %v were cut off", drainPeriod)
+	} else if err != nil {
 		fatalf("shutdown: %v", err)
 	}
-	logger.Printf("stopped")
+	logger.Printf("stopped: all requests drained")
 }
 
 func fatalf(format string, args ...any) {

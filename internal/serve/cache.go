@@ -24,7 +24,7 @@ type cacheKind uint8
 
 const (
 	// cacheRun is a stored set decoded and built into its PPG: what
-	// detect and /v1/sweep read.
+	// detect reads, and /v1/sweep when one is resident.
 	cacheRun cacheKind = iota
 	// cacheSample is a stored set reduced to a baseline sample: what
 	// watch and baseline warm-up read.
@@ -74,8 +74,9 @@ type cacheEntry struct {
 // under the bound or an explicit evictApp. Concurrent misses on one key
 // fill once, through the same single-flight type the request path uses.
 type runCache struct {
-	// limit is the byte bound; negative disables the cache, so every
-	// lookup fills afresh and nothing is kept.
+	// limit is the byte bound. A value larger than it is never kept,
+	// so a bound below every entry's size makes every lookup fill
+	// afresh.
 	limit int64
 	fills flightGroup[cacheKey, cacheValue]
 
@@ -96,13 +97,10 @@ func newRunCache(limit int64) *runCache {
 }
 
 // get returns the value for k, running fill on a miss. Every lookup
-// counts as exactly one hit or one miss; a miss is a lookup that ran
-// fill itself, so callers that join a concurrent fill count as hits.
+// counts as exactly one hit or one miss: a miss is a lookup that ran
+// fill itself or joined a fill that failed, so only callers that join
+// a successful concurrent fill count as hits.
 func (c *runCache) get(k cacheKey, fill func() (cacheValue, error)) (cacheValue, error) {
-	if c.limit < 0 {
-		c.misses.Add(1)
-		return fill()
-	}
 	if v, ok := c.peek(k); ok {
 		c.hits.Add(1)
 		return v, nil
@@ -120,9 +118,9 @@ func (c *runCache) get(k cacheKey, fill func() (cacheValue, error)) (cacheValue,
 		}
 		return v, err
 	})
-	if filled {
+	if filled || err != nil {
 		c.misses.Add(1)
-	} else if err == nil {
+	} else {
 		c.hits.Add(1)
 	}
 	return v, err

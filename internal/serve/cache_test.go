@@ -108,9 +108,9 @@ func freshReport(t *testing.T, srv *Server, hashes []string, topk int) []byte {
 // TestCachedRunsAreNotWritten: detect never writes to a cached PPG.
 // Requests with different configs (so their flights differ) run detect
 // concurrently over the same resident graphs, twice over, beside a
-// watch that derives baseline samples from those graphs; under -race
-// any write is a reported race, and every answer must equal a fresh
-// Get, decode, build and detect.
+// watch that fills and reads baseline samples in the same cache; under
+// -race any write is a reported race, and every answer must equal a
+// fresh Get, decode, build and detect.
 func TestCachedRunsAreNotWritten(t *testing.T) {
 	sets, extra := cacheSets(t)
 	srv, url := newCacheServer(t, 0, 4)
@@ -264,19 +264,19 @@ func TestCacheEvictionHoldsBound(t *testing.T) {
 	}
 }
 
-// TestCacheDisabled: a negative bound turns the cache off. Every answer
-// matches the default server's byte for byte, including watch reports
-// the default server derived from resident runs rather than from
-// stored bytes, and nothing is ever a hit or resident.
+// TestCacheDisabled: a bound below every entry's size keeps nothing, so
+// every lookup decodes afresh. Every answer matches the default
+// server's byte for byte, and with one client at a time nothing is ever
+// a hit or resident.
 func TestCacheDisabled(t *testing.T) {
 	sets, extra := cacheSets(t)
 	on, onURL := newCacheServer(t, 0, 1)
 	hashes := upload(t, onURL, sets, extra)
 	want := exercise(t, on, onURL, hashes, 0)
 
-	off, offURL := newCacheServer(t, -1, 1)
+	off, offURL := newCacheServer(t, 1, 1)
 	upload(t, offURL, sets, extra)
-	got := exercise(t, off, offURL, hashes, 0)
+	got := exercise(t, off, offURL, hashes, 1)
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("response %d differs with the cache disabled", i)
@@ -291,6 +291,50 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestSweepDoesNotFill: /v1/sweep reads only elapsed times, so on a
+// cold cache it decodes without building or keeping a run, and once
+// detect has made the runs resident it reads them instead, with the
+// same bytes either way.
+func TestSweepDoesNotFill(t *testing.T) {
+	sets, _ := cacheSets(t)
+	srv, url := newCacheServer(t, 0, 1)
+	hashes := upload(t, url, sets, nil)
+	code, cold := get(t, url+"/v1/sweep?app=cg")
+	if code != http.StatusOK {
+		t.Fatalf("cold sweep: %d %s", code, cold)
+	}
+	if st := srv.Stats(); st.CacheBytes != 0 || st.CacheMisses != 0 || st.CacheHits != 0 {
+		t.Fatalf("cold sweep touched the run cache: %+v", st)
+	}
+	if code, body := post(t, url+"/v1/detect", "application/json", detectBody(hashes, 0)); code != http.StatusOK {
+		t.Fatalf("detect: %d %s", code, body)
+	}
+	before := srv.Stats()
+	// A different scale list keys a new sweep flight.
+	code, warm := get(t, url+"/v1/sweep?app=cg&scales=4,8,16")
+	if code != http.StatusOK {
+		t.Fatalf("warm sweep: %d %s", code, warm)
+	}
+	if !bytes.Equal(warm, cold) {
+		t.Fatalf("sweep over resident runs differs from a cold one:\n%s\nvs\n%s", warm, cold)
+	}
+	if after := srv.Stats(); after.CacheMisses != before.CacheMisses || after.CacheBytes != before.CacheBytes || after.SweepComputes != 2 {
+		t.Fatalf("warm sweep decoded or filled: before %+v, after %+v", before, after)
+	}
+}
+
+// TestNegativeCacheBytesRejected: a negative bound is a configuration
+// error, not a mode.
+func TestNegativeCacheBytesRejected(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Store: st, CacheBytes: -1}); err == nil {
+		t.Fatal("New accepted CacheBytes -1")
+	}
+}
+
 // benchDetectNPs and benchSetsPerScale shape BenchmarkDetectStored like
 // the stored-detect workload: zeusmp at three scales, four runs each.
 var benchDetectNPs = []int{64, 128, 256}
@@ -300,8 +344,9 @@ const benchSetsPerScale = 4
 // BenchmarkDetectStored measures POST /v1/detect by hash over a
 // preloaded store, in process. "cached" is the default server, whose
 // run cache answers every request after the first touch of each set;
-// "uncached" disables the cache, so each request reads, hash-checks,
-// decodes and builds its three sets: the miss path.
+// "uncached" bounds the cache at one byte, which keeps nothing, so each
+// request reads, hash-checks, decodes and builds its three sets: the
+// miss path.
 func BenchmarkDetectStored(b *testing.B) {
 	eng := scalana.NewEngine()
 	app := scalana.GetApp("zeusmp")
@@ -326,7 +371,7 @@ func BenchmarkDetectStored(b *testing.B) {
 	for _, mode := range []struct {
 		name       string
 		cacheBytes int64
-	}{{"cached", 0}, {"uncached", -1}} {
+	}{{"cached", 0}, {"uncached", 1}} {
 		b.Run(mode.name, func(b *testing.B) {
 			st, err := store.Open(b.TempDir())
 			if err != nil {

@@ -89,8 +89,8 @@ type Config struct {
 	// CacheBytes bounds the run cache, which holds stored sets decoded
 	// and built (for detect and sweep) and reduced to baseline samples
 	// (for watch), evicting least recently used entries past the bound.
-	// 0 takes a 64 MiB default; negative disables caching, so every
-	// request decodes its inputs afresh.
+	// 0 takes a 64 MiB default; negative is an error. A value is never
+	// kept when it alone exceeds the bound.
 	CacheBytes int64
 	// Logf receives one line per request (nil disables logging).
 	Logf func(format string, args ...any)
@@ -159,6 +159,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("serve: Config.Store is required")
 	}
+	if cfg.CacheBytes < 0 {
+		return nil, fmt.Errorf("serve: Config.CacheBytes is negative (%d)", cfg.CacheBytes)
+	}
 	eng := cfg.Engine
 	if eng == nil {
 		eng = scalana.NewEngine()
@@ -209,7 +212,8 @@ type Stats struct {
 	BaselineSamples int   `json:"baseline_samples"`
 	SampleIngests   int64 `json:"sample_ingests"`
 	// CacheHits and CacheMisses count run-cache lookups of both kinds:
-	// a miss is a lookup that decoded (or derived) its value itself.
+	// a miss is a lookup that decoded its value itself or joined a fill
+	// that failed. /v1/sweep reads resident runs without counting.
 	// CacheEvictions counts entries dropped by the byte bound or a
 	// baseline rebuild; CacheBytes is the resident total charged
 	// against the bound.
@@ -845,19 +849,13 @@ func (s *Server) loadRuns(app *scalana.App, entries []store.Entry) ([]detect.Sca
 }
 
 // runFor returns one stored set decoded against the app's compiled
-// graph and built into its PPG, from the run cache or by reading,
-// hash-checking and decoding the stored bytes. A set that no longer
-// decodes (the app's source changed under it) is a 409, not
-// corruption.
+// graph and built into its PPG, from the run cache or by decoding the
+// stored bytes.
 func (s *Server) runFor(app *scalana.App, graph *psg.Graph, e store.Entry) (*storedRun, error) {
 	v, err := s.cache.get(cacheKey{graph: graph, key: e.Key, kind: cacheRun}, func() (cacheValue, error) {
-		data, err := s.st.Get(e.Key)
+		ps, err := s.decodeStored(app, graph, e)
 		if err != nil {
 			return cacheValue{}, err
-		}
-		ps, err := prof.DecodeProfileSet(data, graph)
-		if err != nil {
-			return cacheValue{}, errf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", e.Key, app.Name, err)
 		}
 		pg, err := ppg.Build(graph, ps.Profiles)
 		if err != nil {
@@ -866,6 +864,35 @@ func (s *Server) runFor(app *scalana.App, graph *psg.Graph, e store.Entry) (*sto
 		return cacheValue{run: &storedRun{pg: pg, elapsed: ps.Elapsed}}, nil
 	})
 	return v.run, err
+}
+
+// elapsedFor returns one stored set's elapsed time: from its run when
+// detect has made that resident, otherwise by decoding the stored bytes
+// without building or caching a PPG that sweep never reads.
+func (s *Server) elapsedFor(app *scalana.App, graph *psg.Graph, e store.Entry) (float64, error) {
+	if v, ok := s.cache.peek(cacheKey{graph: graph, key: e.Key, kind: cacheRun}); ok {
+		return v.run.elapsed, nil
+	}
+	ps, err := s.decodeStored(app, graph, e)
+	if err != nil {
+		return 0, err
+	}
+	return ps.Elapsed, nil
+}
+
+// decodeStored reads and hash-checks one stored profile set and decodes
+// it against the app's compiled graph. A set that no longer decodes
+// (the app's source changed under it) is a 409, not corruption.
+func (s *Server) decodeStored(app *scalana.App, graph *psg.Graph, e store.Entry) (*prof.ProfileSet, error) {
+	data, err := s.st.Get(e.Key)
+	if err != nil {
+		return nil, err
+	}
+	ps, err := prof.DecodeProfileSet(data, graph)
+	if err != nil {
+		return nil, errf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", e.Key, app.Name, err)
+	}
+	return ps, nil
 }
 
 // encodeReport runs detection and renders the exact bytes scalana-detect
@@ -951,13 +978,13 @@ func (s *Server) computeSweep(app *scalana.App, entries []store.Entry) ([]byte, 
 	resp := sweepResponseJSON{App: app.Name}
 	var nps, elapsed []float64
 	for _, e := range entries {
-		run, err := s.runFor(app, graph, e)
+		el, err := s.elapsedFor(app, graph, e)
 		if err != nil {
 			return nil, err
 		}
-		resp.Runs = append(resp.Runs, sweepRunJSON{NP: e.NP, Hash: e.Hash, Elapsed: detect.WireFloat(run.elapsed)})
+		resp.Runs = append(resp.Runs, sweepRunJSON{NP: e.NP, Hash: e.Hash, Elapsed: detect.WireFloat(el)})
 		nps = append(nps, float64(e.NP))
-		elapsed = append(elapsed, run.elapsed)
+		elapsed = append(elapsed, el)
 	}
 	if len(resp.Runs) > 0 {
 		baseNP, baseT := float64(resp.Runs[0].NP), float64(resp.Runs[0].Elapsed)

@@ -27,24 +27,17 @@ import (
 )
 
 // sampleFor returns the ingested sample for one stored set, from the
-// run cache or by ingesting it. A miss derives the sample from the
-// set's run when that is resident and otherwise decodes the stored
-// bytes; watch never makes runs resident itself, since each upload it
-// scores is read once.
+// run cache or by ingesting the stored bytes. Watch caches samples
+// only, never runs, since each upload it scores is read once.
 func (s *Server) sampleFor(app *scalana.App, graph *psg.Graph, e store.Entry) (*baseline.Sample, error) {
 	v, err := s.cache.get(cacheKey{graph: graph, key: e.Key, kind: cacheSample}, func() (cacheValue, error) {
-		var smp *baseline.Sample
-		if v, ok := s.cache.peek(cacheKey{graph: graph, key: e.Key, kind: cacheRun}); ok {
-			smp = baseline.Ingest(v.run.pg, e.Hash, v.run.elapsed, s.merge)
-		} else {
-			data, err := s.st.Get(e.Key)
-			if err != nil {
-				return cacheValue{}, err
-			}
-			smp, err = baseline.IngestBytes(data, graph, e.Hash, s.merge)
-			if err != nil {
-				return cacheValue{}, errf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", e.Key, app.Name, err)
-			}
+		data, err := s.st.Get(e.Key)
+		if err != nil {
+			return cacheValue{}, err
+		}
+		smp, err := baseline.IngestBytes(data, graph, e.Hash, s.merge)
+		if err != nil {
+			return cacheValue{}, errf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", e.Key, app.Name, err)
 		}
 		if smp.NP != e.NP {
 			return cacheValue{}, fmt.Errorf("stored set %s decodes to np=%d: %w", e.Key, smp.NP, store.ErrCorrupt)
