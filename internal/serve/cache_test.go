@@ -160,7 +160,7 @@ func TestCachedRunsAreNotWritten(t *testing.T) {
 		if round == 0 {
 			firstWatch = watch
 		} else if !bytes.Equal(watch, firstWatch) {
-			t.Fatal("watch over resident runs changed between rounds")
+			t.Fatal("watch over cached samples changed between rounds")
 		}
 	}
 	if st := srv.Stats(); st.CacheHits == 0 {
